@@ -34,7 +34,7 @@ from typing import Dict, Optional, Sequence
 
 from ..harness.experiments import EXPERIMENTS, run_experiment
 from ..harness.runner import SuiteRunner
-from ..telemetry.runtime import telemetry_session
+from ..telemetry.runtime import get_telemetry, telemetry_session
 from ..telemetry.summary import cache_hit_rate, cache_stats, phase_totals
 from ..telemetry.ledger import RunManifest, fidelity_summary
 from .artifact import (
@@ -86,8 +86,20 @@ class BenchRunner:
         )
 
     def bench_one(self, experiment_id: str) -> BenchReport:
-        """Run one experiment under a fresh telemetry session."""
-        with telemetry_session() as telemetry:
+        """Run one experiment under a fresh telemetry session.
+
+        The fresh session keeps each report's metrics and span tree to
+        its own experiment.  Its events still reach an enclosing
+        session's sink (``repro bench --trace-out``), and its span ids
+        continue the enclosing tracer's, so one trace file never holds
+        two spans with the same id.
+        """
+        ambient = get_telemetry()
+        sink = None if ambient.sink is None else _BorrowedSink(ambient.sink)
+        with telemetry_session(
+            sink=sink, timeline_window=ambient.timeline_window
+        ) as telemetry:
+            telemetry.tracer._next_id = ambient.tracer._next_id
             started = self._clock()
             report = run_experiment(experiment_id, self.runner)
             wall_s = self._clock() - started
@@ -111,6 +123,7 @@ class BenchRunner:
             for counts in caches.values():
                 for result, count in counts.items():
                     combined[result] = combined.get(result, 0) + count
+        ambient.tracer._next_id = telemetry.tracer._next_id
         return BenchReport(
             experiment_id=experiment_id,
             title=report.title,
@@ -128,6 +141,20 @@ class BenchRunner:
                 untraced_instructions / untraced_s if untraced_s > 0 else 0.0
             ),
         )
+
+
+class _BorrowedSink:
+    """An enclosing session's sink, lent to a nested session.
+
+    ``telemetry_session`` closes its sink on exit, but the enclosing
+    session still owns this one, so closing the loan does nothing.
+    """
+
+    def __init__(self, sink):
+        self.emit = sink.emit
+
+    def close(self) -> None:
+        pass
 
 
 def _untraced_execution(tree) -> tuple:

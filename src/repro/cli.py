@@ -914,7 +914,7 @@ def cmd_profile(args) -> int:
     profiler = HotLoopProfiler(sample_every=sample_every)
     # Profiling measures *this* process's wall clock, so the run is
     # forced serial and uncached — a cache hit would profile nothing.
-    # The backend still flows through: the fast backend hands profiled
+    # The backend still flows through: ``fast-batched`` hands profiled
     # runs to the classic instrumented loop (that's what the profiler
     # measures), so attribution stays meaningful either way.
     runner = SuiteRunner(

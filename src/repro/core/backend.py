@@ -1,16 +1,16 @@
-"""Execution backend registry: classic reference vs fast interpreter.
+"""Execution backend registry: the classic reference vs ``fast-batched``.
 
 A *backend* is a pair of CPU classes — one for classic semantics, one
 for amnesic binaries — that agree bit-for-bit on architectural state,
 RunStats, hierarchy state, and energy accounts.  ``classic`` is the
-reference implementation in :mod:`repro.machine.cpu` /
-:mod:`repro.core.amnesic_cpu`; ``fast`` layers the predecoded dispatch
-loop of :mod:`repro.machine.fastpath` over the same handlers;
-``fast-batched`` additionally fuses statically-proven straight-line
-regions (:mod:`repro.staticcheck.regions`) into single dispatches.  The fuzz
-oracle's backend check (:func:`repro.fuzz.oracle.check_backend_equivalence`)
-holds the pair to exact equivalence, the same way the differential
-oracle holds amnesic execution to the classic baseline.
+plainly interpreted reference in :mod:`repro.machine.cpu` /
+:mod:`repro.core.amnesic_cpu`; ``fast-batched`` runs the predecoded,
+region-fused dispatch loop of :mod:`repro.machine.fastpath` over the
+same handlers and fuses each RSlice traversal into one generated
+function.  The fuzz oracle's backend check
+(:func:`repro.fuzz.oracle.check_backend_equivalence`) holds the pair to
+exact equivalence, the same way the differential oracle holds amnesic
+execution to the classic baseline.
 
 Selection order: an explicit ``backend=`` argument (CLI ``--backend``)
 wins, then the ``REPRO_BACKEND`` environment variable, then
@@ -24,12 +24,7 @@ import os
 from typing import Optional, Tuple, Type
 
 from ..machine.cpu import CPU
-from ..machine.fastpath import (
-    BatchedExecutionMixin,
-    BatchedFastCPU,
-    FastCPU,
-    FastExecutionMixin,
-)
+from ..machine.fastpath import BatchedExecutionMixin, BatchedFastCPU
 from .amnesic_cpu import AmnesicCPU
 
 #: Environment variable consulted when no explicit backend is passed.
@@ -38,24 +33,17 @@ ENV_BACKEND = "REPRO_BACKEND"
 DEFAULT_BACKEND = "classic"
 
 
-class FastAmnesicCPU(FastExecutionMixin, AmnesicCPU):
-    """The fast backend for amnesic binaries.
-
-    The predecoded loop specializes REC (the hot amnesic opcode — it
-    runs once per leaf-producer execution) and routes RCMP through the
-    classic scheduler/traversal machinery via the handler thunk, so
-    policy decisions, slice traversals, Hist/SFile/IBuff state, and
-    every amnesic energy charge are byte-for-byte the classic ones.
-    """
-
-
 class BatchedFastAmnesicCPU(BatchedExecutionMixin, AmnesicCPU):
     """The region-batched fast backend for amnesic binaries.
 
     Straight-line runs between amnesic/control opcodes fuse into single
     dispatches (the region analyzer never batches across RCMP/REC/RTN),
-    while the amnesic machinery itself executes through the same
-    specialized/thunked closures as :class:`FastAmnesicCPU`.
+    and each untraced slice traversal runs as one fused function.  The
+    predecoded loop specializes REC (the hot amnesic opcode — it runs
+    once per leaf-producer execution) and routes RCMP through the
+    classic scheduler via the handler thunk, so policy decisions,
+    Hist/SFile/IBuff state, and every amnesic energy charge are
+    byte-for-byte the classic ones.
     """
 
 
@@ -70,7 +58,6 @@ class Backend:
 
 BACKENDS = {
     "classic": Backend("classic", CPU, AmnesicCPU),
-    "fast": Backend("fast", FastCPU, FastAmnesicCPU),
     "fast-batched": Backend("fast-batched", BatchedFastCPU, BatchedFastAmnesicCPU),
 }
 
@@ -97,6 +84,5 @@ __all__ = [
     "ENV_BACKEND",
     "Backend",
     "BatchedFastAmnesicCPU",
-    "FastAmnesicCPU",
     "resolve_backend",
 ]

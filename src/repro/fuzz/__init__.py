@@ -8,6 +8,7 @@ greedy spec shrinker, and the replayable regression corpus behind
 from .corpus import CorpusEntry, load_corpus, load_entry, save_entry
 from .faults import (
     EagerFireCPU,
+    FreeHistSliceBatchedAmnesicCPU,
     LateFlushBatchedAmnesicCPU,
     LateFlushBatchedCPU,
     SkipHistReadCPU,
@@ -49,6 +50,7 @@ __all__ = [
     "CorpusEntry",
     "Counterexample",
     "EagerFireCPU",
+    "FreeHistSliceBatchedAmnesicCPU",
     "FuzzConfig",
     "FuzzResult",
     "Gap",

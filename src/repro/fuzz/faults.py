@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from ..core.amnesic_cpu import AmnesicCPU
 from ..core.hist import HistoryTable
+from ..energy.account import Cost
+from ..energy.model import EnergyModel
 from ..machine.cpu import CPU
-from ..machine.fastpath import BatchedExecutionMixin
+from ..machine.fastpath import BatchedExecutionMixin, _fuse_slice
 
 
 class _ZeroReadHist(HistoryTable):
@@ -87,8 +89,38 @@ class LateFlushBatchedAmnesicCPU(_LateFlushMixin, AmnesicCPU):
     """The broken batcher over amnesic binaries."""
 
 
+class _FreeHistReadModel(EnergyModel):
+    """The real prices, except that a Hist read costs no energy."""
+
+    def hist_read_cost(self) -> Cost:
+        return Cost(0.0, super().hist_read_cost().time_ns)
+
+
+class FreeHistSliceBatchedAmnesicCPU(BatchedExecutionMixin, AmnesicCPU):
+    """Bug: the fused slice drops the Hist-read energy charge.
+
+    Each slice is generated against prices whose Hist read is free, so
+    every fused traversal that reads a checkpointed leaf undercharges
+    the ``hist`` group.  Values, counts and modeled time stay
+    classic-identical; only an exact energy comparison against the
+    interpreted reference slice traversal catches it.
+    """
+
+    def _traverse_slice(self, info):
+        fused = self.__dict__.setdefault("_fused_slices", {})
+        if info.slice_id not in fused:
+            model = self.model
+            self.model = _FreeHistReadModel(model.epi, model.config)
+            try:
+                fused[info.slice_id] = _fuse_slice(self, info.slice_id)
+            finally:
+                self.model = model
+        return super()._traverse_slice(info)
+
+
 __all__ = [
     "EagerFireCPU",
+    "FreeHistSliceBatchedAmnesicCPU",
     "LateFlushBatchedAmnesicCPU",
     "LateFlushBatchedCPU",
     "SkipHistReadCPU",

@@ -387,7 +387,7 @@ def check_backend_equivalence(
     model: Optional[EnergyModel] = None,
     policies: Sequence[str] = POLICY_NAMES,
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-    backend: object = "fast",
+    backend: object = "fast-batched",
 ) -> OracleVerdict:
     """Hold a non-classic backend to the classic interpreter, exactly.
 
@@ -399,18 +399,20 @@ def check_backend_equivalence(
     breakdown, and modeled time.  Unlike amnesic-vs-classic (where only
     architectural state must match), the two backends run the *same*
     semantics, so every comparison is exact — including float energy
-    totals, which the fast backend must accumulate in the classic charge
-    order.  Faults count too: a program that faults under classic must
-    fault under fast with the same exception type, message, and pc.
+    totals, which the backend under test must accumulate in the classic
+    charge order.  Faults count too: a program that faults under classic
+    must fault under the backend under test with the same exception
+    type, message, and pc.  The classic side interprets every slice, so
+    fused slice traversals are held against the plain interpreter.
 
     Failures carry kind ``"backend"``; the policy field is ``classic``
     for the plain-interpreter comparison and the policy name for the
     amnesic ones.
 
     ``backend`` picks the backend under test: a registry name
-    (``"fast"``, ``"fast-batched"``) or a ``Backend`` instance — the
-    latter is how the broken-batcher proof tests hand the oracle a
-    deliberately wrong implementation.
+    (``"fast-batched"``) or a ``Backend`` instance — the latter is how
+    the broken-batcher proof tests hand the oracle a deliberately wrong
+    implementation.
     """
     from ..core.backend import BACKENDS, Backend
 

@@ -1,8 +1,9 @@
-"""The fast execution backend: predecoded closures over classic semantics.
+"""The ``fast-batched`` backend: predecoded closures over classic semantics.
 
-:class:`FastExecutionMixin` replaces the classic fetch/decode/dispatch
-loop of :class:`~repro.machine.cpu.CPU` with a *predecoded* program: one
-closure per static instruction, specialized at decode time over
+:class:`BatchedExecutionMixin` replaces the classic fetch/decode/dispatch
+loop of :class:`~repro.machine.cpu.CPU` with a *predecoded* program in
+two layers.  The first is one closure per static instruction,
+specialized at decode time over
 
 * the opcode's evaluator / branch condition (no per-dispatch dict walk),
 * the operand kinds (register reads and immediates are resolved to
@@ -12,6 +13,13 @@ closure per static instruction, specialized at decode time over
   instruction, not once per dynamic one),
 * the energy/latency costs (plain ``float`` pairs instead of a
   :class:`~repro.energy.account.Cost` allocation per charge).
+
+The second fuses each statically-proven straight-line region
+(:mod:`repro.staticcheck.regions`) into one generated closure, and on
+the amnesic variant each RSlice traversal into one generated function
+(see "Region batching" below).  The classic :class:`CPU` and
+:class:`~repro.core.amnesic_cpu.AmnesicCPU` stay plain interpreters:
+they are the reference this backend is held to.
 
 Each closure executes one instruction *bit-identically* to the classic
 handler — same value semantics, same energy charges in the same order,
@@ -36,8 +44,8 @@ The semantics/timing/observability contract a backend must honour:
   classic loop (timelines sample mid-run state at instruction
   granularity); a run under the hot-loop profiler uses the classic
   profiled loop (the profiler measures the classic dispatch path); a
-  run with a tracer keeps the predecoded loop with *traced* closure
-  variants that construct the same
+  run with a tracer keeps the predecoded per-pc loop, unfused, with
+  *traced* closure variants that construct the same
   :class:`~repro.trace.events.InstructionEvent` the classic handler
   would emit — same index, pc, operand values, result, address, level,
   and branch outcome — so dependence/locality profiles built on the
@@ -914,79 +922,11 @@ class _ProgramDecoder:
         return f
 
 
-class FastExecutionMixin:
-    """Swap the classic per-instruction loop for the predecoded one.
-
-    Mix in ahead of :class:`CPU` (or a subclass).  Timeline and profiler
-    runs fall back to the classic loops — see the module docstring for
-    the full backend contract.
-    """
-
-    def _decoded(self):
-        cached = self.__dict__.get("_fast_decode")
-        if cached is None:
-            cached = self.__dict__["_fast_decode"] = _ProgramDecoder(self).decode()
-        return cached
-
-    def __getstate__(self):
-        # The decode cache is per-pc closures over this instance's hot
-        # state — unpicklable and meaningless in another process (the
-        # parallel engine ships finished CPUs back to the parent).  Drop
-        # it; _decoded() rebuilds on demand.  Chained through super() so
-        # cooperating bases (AmnesicCPU's slice-runner cache) get to
-        # drop their own closures too.
-        state = dict(super().__getstate__())
-        state.pop("_fast_decode", None)
-        return state
-
-    def _run_loop(self) -> None:
-        if self._timeline is not None:
-            # Timelines capture mid-run state per retired instruction;
-            # the classic loop keeps that observability exact.
-            return super()._run_loop()
-        fns, cats = self._decoded()
-        counts = [0] * len(fns)
-        max_instructions = self.max_instructions
-        pc = self.pc
-        try:
-            if not self.halted:
-                while True:
-                    if self._dynamic_index >= max_instructions:
-                        raise ExecutionLimitExceeded(
-                            f"exceeded {max_instructions} dynamic instructions",
-                            pc=pc,
-                        )
-                    counts[pc] += 1
-                    pc = fns[pc]()
-                    if pc < 0:
-                        break
-        finally:
-            stats = self.stats
-            by_category = stats.by_category
-            flushed = 0
-            for index, hits in enumerate(counts):
-                if hits:
-                    category = cats[index]
-                    if category is not None:
-                        by_category[category] += hits
-                        flushed += hits
-            stats.dynamic_instructions += flushed
-            if pc >= 0:
-                # Keep the architectural pc observable exactly as the
-                # classic loop leaves it (fault pc, halt pc, budget pc).
-                self.pc = pc
-        self.finalize()
-
-
-class FastCPU(FastExecutionMixin, CPU):
-    """The fast backend for classic execution semantics."""
-
-
 # ----------------------------------------------------------------------
-# Region batching (the ``fast-batched`` backend).
+# Region batching.
 #
-# The per-pc loop above still pays one Python call per instruction.  The
-# static region analyzer (``staticcheck/regions.py``) proves which runs
+# The per-pc closures above still pay one Python call per instruction.
+# The static region analyzer (``staticcheck/regions.py``) proves which runs
 # of instructions have one entry, one exit, and no amnesic opcode; this
 # layer fuses each such run of >= 2 instructions into ONE generated
 # closure whose body is the per-pc closure bodies concatenated
@@ -1006,9 +946,9 @@ class FastCPU(FastExecutionMixin, CPU):
 #   region executes element by element through the original per-pc
 #   closures with the classic per-instruction budget check (and the
 #   classic "fault before counting the pending instruction" order).
-# * **Traced/timeline/profiled runs** — fall back to the plain fast
-#   loop (identical event streams) or the classic loops, exactly like
-#   the unbatched fast backend.
+# * **Traced/timeline/profiled runs** — traced runs dispatch the per-pc
+#   traced closures with nothing fused (identical event streams);
+#   timeline and profiled runs take the classic loops.
 # * **Mid-region entry** — a JR can land inside a region at runtime, so
 #   every non-start pc keeps its per-pc closure; only the region start
 #   dispatches the fused body.
@@ -1556,15 +1496,16 @@ def _cross_check_artifact(program, report):
         )
 
 
-class BatchedExecutionMixin(FastExecutionMixin):
-    """The fast loop with statically-proven regions fused per dispatch.
+class BatchedExecutionMixin:
+    """Swap the classic per-instruction loop for the predecoded one.
 
     Mix in ahead of :class:`CPU` (or a subclass).  Consumes
     :class:`~repro.staticcheck.regions.RegionReport` at predecode time
     (imported lazily — the staticcheck package sits above the machine
-    layer); pure and memory regions fuse, faulting and in-slice regions
-    stay per-pc, traced/timeline/profiled runs fall back exactly like
-    the plain fast backend.
+    layer): pure and memory regions fuse, faulting and in-slice regions
+    stay per-pc.  Traced runs dispatch the per-pc traced closures and
+    fuse nothing; timeline and profiled runs take the classic loops —
+    see the module docstring for the full backend contract.
     """
 
     def _decoded_batched(self):
@@ -1574,14 +1515,18 @@ class BatchedExecutionMixin(FastExecutionMixin):
         return cached
 
     def _decode_batched(self):
-        from ..staticcheck.regions import KIND_FAULTING, RegionReport
-
         decoder = _ProgramDecoder(self)
         fns, cats = decoder.decode()
+        table = _BatchTable(fns, cats)
+        if self.tracer is not None:
+            # The decoder bound traced closures, which emit one event
+            # per instruction; fusing would drop events.
+            return table
+        from ..staticcheck.regions import KIND_FAULTING, RegionReport
+
         body_fns = list(fns)  # originals, for mid-region entry + guard
         report = RegionReport.from_program(self.program)
         _cross_check_artifact(self.program, report)
-        table = _BatchTable(fns, cats)
         flush = self._region_partial_flush
         for region in report.batchable:
             if region.in_slice or region.kind == KIND_FAULTING:
@@ -1610,27 +1555,38 @@ class BatchedExecutionMixin(FastExecutionMixin):
             counts[start + offset] += 1
 
     def __getstate__(self):
-        state = super().__getstate__()
+        # The decode table and fused slices are closures over this
+        # instance's hot state — unpicklable and meaningless in another
+        # process (the parallel engine ships finished CPUs back to the
+        # parent).  Drop them; they rebuild on demand.
+        state = dict(super().__getstate__())
         state.pop("_batch_decode", None)
+        state.pop("_fused_slices", None)
         return state
 
-    def _build_slice_runner(self, slice_id):
+    def _traverse_slice(self, info):
         """Fuse slice traversals the way main-code regions fuse.
 
-        Only reached through :meth:`AmnesicCPU._traverse_slice` (so only
-        on the amnesic variant, and never on traced runs).  Slices the
-        fuser cannot express fall back to the closure interpreter.
+        Only reached on the amnesic variant.  Traced and timeline runs,
+        and slices :func:`_fuse_slice` cannot express, take the
+        reference interpreter, which faults at the identical element.
         """
-        fused = _fuse_slice(self, slice_id)
-        if fused is not None:
-            return fused
-        return super()._build_slice_runner(slice_id)
+        if self.tracer is None and self._timeline is None:
+            cache = self.__dict__.get("_fused_slices")
+            if cache is None:
+                cache = self.__dict__["_fused_slices"] = {}
+            try:
+                fused = cache[info.slice_id]
+            except KeyError:
+                fused = cache[info.slice_id] = _fuse_slice(self, info.slice_id)
+            if fused is not None:
+                return fused()
+        return self._traverse_slice_interpreted(info)
 
     def _run_loop(self) -> None:
-        if self._timeline is not None or self.tracer is not None:
-            # Timelines sample mid-run state per instruction (classic
-            # loop); tracers need per-instruction events (plain fast
-            # loop with traced closures).  Both preclude fusing.
+        if self._timeline is not None:
+            # Timelines capture mid-run state per retired instruction;
+            # the classic loop keeps that observability exact.
             return super()._run_loop()
         table = self._decoded_batched()
         fns = table.fns
@@ -1715,17 +1671,19 @@ def _fuse_slice(cpu, slice_id):
     Slices are straight-line regions by construction (formation never
     admits control flow), so the batched backend applies its region
     fusing to recomputation as well: one generated function per slice
-    replays exactly what the closure interpreter in
-    :meth:`repro.core.amnesic_cpu.AmnesicCPU._build_slice_runner` does —
+    replays exactly what the reference interpreter
+    :meth:`repro.core.amnesic_cpu.AmnesicCPU._traverse_slice_interpreted`
+    does for an untraced run —
     the same structure calls in the same order (IBuff fetches, Renamer
     reads/writes, Hist reads with their charges), the same inline
     semantics with evaluator fallback as the fused main regions, and
     accumulator-hoisted stats/charges written back both on success and
     on a mid-slice fault (``_done`` tracks the faulting element, and
     counts follow the interpreter's count-before-execute rule).
-    Returns ``None`` for slices the generator cannot express; the
-    caller falls back to the closure interpreter, which faults at the
-    identical element.
+    Returns ``None`` for slices the generator cannot express (a non-SReg
+    destination, a missing RTN terminator, an opcode without value
+    semantics); the caller falls back to the interpreter, which faults
+    at the identical element.
     """
     program = cpu.program
     region = program.slices[slice_id]

@@ -1,10 +1,10 @@
 """Batchable straight-line region analysis (the fastpath precondition).
 
-The fast backend (``machine/fastpath.py``) retires one instruction per
-dispatch because every pc might branch, fault, or enter the amnesic
-machinery.  The ROADMAP's next perf lever — batching straight-line
-regions into single dispatch units — needs exactly the guarantee this
-module derives statically: a maximal run of instructions with one entry
+A per-pc closure of the ``fast-batched`` backend (``machine/fastpath.py``)
+retires one instruction per dispatch because every pc might branch,
+fault, or enter the amnesic machinery.  Batching straight-line regions
+into single dispatch units needs exactly the guarantee this module
+derives statically: a maximal run of instructions with one entry
 (no branch target lands mid-run), one exit (no control transfer inside),
 and no amnesic opcode (``RCMP``/``REC``/``RTN`` touch Hist and the
 scheduler).  Within a run the only per-instruction hazards left are

@@ -122,7 +122,7 @@ def comparable(latest: RunManifest, other: RunManifest) -> bool:
     """Whether *other* belongs to the same measurement population.
 
     Kind, target, scale, backend, and the policy set must all match —
-    a fast-backend fig4 at scale 0.5 tells you nothing about a classic
+    a ``fast-batched`` fig4 at scale 0.5 tells you nothing about a classic
     fig4 at scale 1.0.  Model fingerprint is deliberately *not* part of
     the key: a changed energy model that moves fidelity is exactly the
     drift the watchdog exists to flag.

@@ -49,7 +49,7 @@ def profile_program(
 
     *backend* selects the execution backend for the profiling run (None
     resolves from the environment).  Backends are trace-equivalent by
-    contract — the fast backend's traced closures emit the identical
+    contract — the ``fast-batched`` backend's traced closures emit the identical
     event stream — so the profile, and everything compiled from it, is
     the same whichever backend gathers it.
     """

@@ -47,7 +47,7 @@ def test_run_single_policy(capsys):
 
 def test_run_fast_backend_matches_classic(capsys):
     args = ["run", "bfs", "--policy", "Compiler", "--scale", "0.25"]
-    assert main(args + ["--backend", "fast"]) == 0
+    assert main(args + ["--backend", "fast-batched"]) == 0
     fast_out = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == fast_out

@@ -120,3 +120,30 @@ def test_experiment_format_json(capsys):
     assert payload["experiment_id"] == "table1"
     assert payload["data"]
     assert "40nm" in payload["text"]
+
+
+def test_bench_trace_out_records_the_experiment_spans(tmp_path, capsys):
+    # The collector's per-experiment session must forward its events to
+    # the CLI's --trace-out sink instead of shadowing it.
+    from repro.telemetry import read_events, reconstruct_spans
+
+    out = tmp_path / "BENCH.json"
+    trace = tmp_path / "trace.jsonl"
+    # table1 twice: the cheapest experiment, and two per-experiment
+    # sessions writing into one file are what could collide.
+    assert main(
+        ["bench", "--experiments", "table1,table1", "--out", str(out),
+         "--trace-out", str(trace)]
+    ) == 0
+    capsys.readouterr()
+    events = read_events(str(trace))
+    closed = [
+        e["attrs"]["id"]
+        for e in events
+        if e["type"] == "span_close" and e["name"] == "experiment"
+    ]
+    assert closed == ["table1", "table1"]
+    opened = [e["span"] for e in events if e["type"] == "span_open"]
+    assert len(opened) == len(set(opened)), "span ids collide across sessions"
+    forest = reconstruct_spans(events)
+    assert sum(1 for root in forest for _ in root.walk()) == len(opened)

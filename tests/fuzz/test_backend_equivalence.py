@@ -1,13 +1,13 @@
-"""Classic-vs-fast(-batched) backend equivalence over the corpus.
+"""Classic-vs-fast-batched backend equivalence over the corpus.
 
-Satellite of the fast-backend PRs: every committed corpus entry replays
-through each non-classic backend and must match the classic interpreter
+Every committed corpus entry replays through each non-classic backend
+and must match the classic interpreter
 on registers, the memory image, and the energy accounts — under plain
 classic semantics *and* under every amnesic policy.  Entries that
 expect a classic fault (scheduled traps, tight budgets) must reproduce
 the fault with parity: an *invalid* verdict with zero failures.  A
 seeded ``check_spec`` round additionally runs the standard
-amnesic-vs-classic oracle with the fast amnesic CPU substituted,
+amnesic-vs-classic oracle with the batched amnesic CPU substituted,
 pinning the backends against each other through the full differential
 pipeline.
 """
@@ -35,7 +35,7 @@ CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 BACKEND_FUZZ_SEED = 0xA32E51AC
 
 #: Every backend that must match classic bit-for-bit.
-NON_CLASSIC_BACKENDS = ("fast", "fast-batched")
+NON_CLASSIC_BACKENDS = ("fast-batched",)
 
 
 def entry_ids():
@@ -73,12 +73,12 @@ def test_corpus_entry_matches_classic_under_backend(path, backend, model):
 
 
 def test_seeded_fuzz_round_with_fast_amnesic_cpu(model):
-    # The standard oracle, but the amnesic side runs on the fast
+    # The standard oracle, but the amnesic side runs on the fast-batched
     # backend: amnesic-vs-classic equivalence must hold regardless of
     # which backend executes the binary.
     from repro.core.backend import BACKENDS
 
-    fast_amnesic = BACKENDS["fast"].amnesic_cls
+    fast_amnesic = BACKENDS["fast-batched"].amnesic_cls
     checked = 0
     for spec in generate_specs(BACKEND_FUZZ_SEED, 10):
         try:
@@ -118,7 +118,7 @@ def test_seeded_backend_equivalence_round(backend, model):
 
 def test_compilation_identical_across_profiling_backends(model):
     # The compiler's profiling run may execute on either backend: the
-    # traced fast closures emit the classic event stream field for
+    # traced per-pc closures emit the classic event stream field for
     # field, so the dependence/load/locality profiles — and therefore
     # the compiled binary — must come out identical.
     from repro.compiler.amnesic_pass import compile_amnesic

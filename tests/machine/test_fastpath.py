@@ -1,10 +1,12 @@
-"""Fast backend: exact equivalence with the classic interpreter.
+"""Per-pc closures: exact equivalence with the classic interpreter.
 
-The fast backend predecodes the program into per-pc closures and runs a
-locals-hoisted dispatch loop, but its contract is that nothing
-observable changes: architectural state, RunStats, cache state, the
-per-group energy breakdown, modeled time, traced event streams, and
-fault type/message/pc must all be byte-for-byte the classic ones.
+The ``fast-batched`` backend predecodes the program into per-pc
+closures and fuses proven straight-line regions on top of them.  The
+per-pc closures still serve non-region pcs, mid-region JR entry, and
+every traced run, and the contract is that nothing observable
+changes: architectural state, RunStats, cache state, the per-group
+energy breakdown, modeled time, traced event streams, and fault
+type/message/pc must all be byte-for-byte the classic ones.
 These tests pin that contract on hand-written programs; the fuzz
 oracle's :func:`repro.fuzz.check_backend_equivalence` pins it on
 generated ones.
@@ -22,7 +24,7 @@ from repro.errors import (
     ReproError,
 )
 from repro.isa import Opcode, ProgramBuilder
-from repro.machine import CPU, FastCPU
+from repro.machine import CPU, BatchedFastCPU
 from repro.trace import InstructionEvent
 
 from ..conftest import build_spill_kernel, tiny_config
@@ -47,7 +49,7 @@ def run_pair(program, max_instructions=100_000, tracer_factory=None):
     failure; a matching fault is re-raised by the caller's pytest.raises.
     """
     outcomes = []
-    for cls in (CPU, FastCPU):
+    for cls in (CPU, BatchedFastCPU):
         tracer = tracer_factory() if tracer_factory else None
         cpu = cls(
             program, make_model(), tracer=tracer,
@@ -121,6 +123,8 @@ def test_traced_runs_emit_identical_event_streams():
         program, tracer_factory=RecordingTracer
     )
     assert_state_equal(classic, fast)
+    # A traced run dispatches per-pc traced closures only.
+    assert not fast._decoded_batched().region_spans
     assert len(ct.events) == len(ft.events)
     for left, right in zip(ct.events, ft.events):
         assert left == right
@@ -170,7 +174,7 @@ def test_budget_fault_counts_match():
     b.jmp("spin")
     program = b.build()
     cpus = []
-    for cls in (CPU, FastCPU):
+    for cls in (CPU, BatchedFastCPU):
         cpu = cls(program, make_model(), max_instructions=64)
         with pytest.raises(ExecutionLimitExceeded):
             cpu.run()
@@ -184,9 +188,9 @@ def test_budget_fault_counts_match():
 
 def test_decode_is_cached_across_runs():
     program = build_spill_kernel(iterations=2, chain=2, gap=2)
-    cpu = FastCPU(program, make_model())
-    first = cpu._decoded()
-    assert cpu._decoded() is first
+    cpu = BatchedFastCPU(program, make_model())
+    first = cpu._decoded_batched()
+    assert cpu._decoded_batched() is first
 
 
 def test_profiled_fast_run_reconciles():
@@ -198,7 +202,7 @@ def test_profiled_fast_run_reconciles():
     program = build_spill_kernel(iterations=8, chain=3, gap=5)
     profiler = HotLoopProfiler(sample_every=7)
     with telemetry_session(profiler=profiler):
-        fast = FastCPU(program, make_model())
+        fast = BatchedFastCPU(program, make_model())
         fast.run()
     classic = CPU(program, make_model())
     classic.run()
@@ -218,7 +222,7 @@ def test_timeline_fast_run_matches_classic():
     program = build_spill_kernel(iterations=6, chain=2, gap=3)
     with telemetry_session(timeline_window=50) as telemetry:
         with telemetry.span("test"):
-            fast = FastCPU(program, make_model())
+            fast = BatchedFastCPU(program, make_model())
             fast.run()
     classic = CPU(program, make_model())
     classic.run()
@@ -249,7 +253,7 @@ def test_fast_backend_is_actually_faster():
         return time.perf_counter() - start, cpu
 
     classic_s, classic = timed(CPU)
-    fast_s, fast = timed(FastCPU)
+    fast_s, fast = timed(BatchedFastCPU)
     assert_state_equal(classic, fast)
     # Conservative floor: locally the ratio is ~5x; keep CI noise-proof.
     assert fast_s < classic_s, (

@@ -10,9 +10,9 @@ the instruction budget lands *inside* a fused region, when a JR enters
 a region mid-run, and when a region runs to the very end of the
 program.  These tests pin that contract on hand-built adversarial
 programs and on every suite kernel; they also prove the test layer has
-teeth by running the deliberately broken late-flush batcher
-(``repro.fuzz.faults``) and asserting both this suite and the
-differential oracle catch it.
+teeth by running the deliberately broken late-flush batcher and
+free-Hist slice fuser (``repro.fuzz.faults``) and asserting the suite
+and the differential oracle catch them.
 """
 
 import dataclasses
@@ -31,6 +31,7 @@ from repro.errors import (
     ReproError,
 )
 from repro.fuzz import (
+    FreeHistSliceBatchedAmnesicCPU,
     LateFlushBatchedAmnesicCPU,
     LateFlushBatchedCPU,
     check_backend_equivalence,
@@ -516,3 +517,76 @@ def test_oracle_catches_the_late_flush_batcher():
     )
     assert any(failure.kind == "backend" for failure in verdict.failures)
     assert any("stats" in failure.message for failure in verdict.failures)
+
+
+# ----------------------------------------------------------------------
+# Fused slices vs the interpreted reference: the classic AmnesicCPU
+# interprets every slice, so the oracle holds each fused traversal to
+# the plain interpreter — and must catch a fuser that misprices one.
+# ----------------------------------------------------------------------
+
+
+def trivial_checkpoint_binary():
+    from repro.compiler.amnesic_pass import compile_amnesic
+
+    paths = [
+        path
+        for path in corpus_paths(CORPUS_DIR)
+        if path.name.startswith("trivial-checkpoint")
+    ]
+    assert paths, "corpus lost the trivial-checkpoint shape"
+    entry = load_entry(paths[0])
+    program = materialize(entry.spec)
+    model = default_fuzz_model()
+    return entry, program, compile_amnesic(program, model).binary, model
+
+
+def test_classic_reference_interprets_every_slice(monkeypatch):
+    from repro.core.amnesic_cpu import AmnesicCPU
+    from repro.core.backend import BACKENDS
+    from repro.core.policies import make_policy
+
+    _, _, binary, model = trivial_checkpoint_binary()
+    interpreted = []
+    original = AmnesicCPU._traverse_slice_interpreted
+
+    def spy(self, info):
+        interpreted.append(type(self).__name__)
+        return original(self, info)
+
+    monkeypatch.setattr(AmnesicCPU, "_traverse_slice_interpreted", spy)
+    fired = {}
+    for name, backend in BACKENDS.items():
+        cpu = backend.amnesic_cls(binary, model, make_policy("Compiler"))
+        cpu.run()  # untraced
+        fired[name] = cpu.stats.recomputations_fired
+    assert fired["classic"] > 0
+    # Every classic traversal interpreted; every batched one fused.
+    assert interpreted == ["AmnesicCPU"] * fired["classic"]
+
+
+def test_oracle_catches_the_free_hist_slice_fuser():
+    from repro.core.amnesic_cpu import AmnesicCPU
+    from repro.core.backend import Backend
+    from repro.core.policies import make_policy
+
+    entry, program, binary, model = trivial_checkpoint_binary()
+    reference = AmnesicCPU(binary, model, make_policy("Compiler"))
+    reference.run()
+    assert reference.stats.hist_reads > 0, "no fired slice reads Hist"
+
+    good = check_backend_equivalence(program, spec=entry.spec, model=model)
+    assert good.ok, good.summary()
+    broken = Backend(
+        "free-hist-slice", BatchedFastCPU, FreeHistSliceBatchedAmnesicCPU
+    )
+    verdict = check_backend_equivalence(
+        program, spec=entry.spec, model=model, backend=broken
+    )
+    assert verdict.failures, (
+        "the oracle let the broken slice fuser through: " + verdict.summary()
+    )
+    # Counts and time match; only the Hist energy charge is missing.
+    for failure in verdict.failures:
+        assert failure.kind == "backend"
+        assert failure.message.startswith("energy breakdown diverged")
