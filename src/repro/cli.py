@@ -532,10 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
              "per program)",
     )
     lint_cmd.add_argument(
-        "--backend", choices=BACKEND_NAMES, default=None,
-        help="execution backend for profiling runs",
-    )
-    lint_cmd.add_argument(
         "--max-findings", type=int, default=0, metavar="N",
         help="truncate each program's finding list (0 = show all)",
     )
@@ -1269,7 +1265,6 @@ def cmd_lint(args) -> int:
         prove_rules=args.prove_rules and corpus_dir is not None,
         self_check=True,
         regions_out=args.regions_out,
-        backend=args.backend,
     )
     text = args.format == "text"
     try:

@@ -99,15 +99,13 @@ def compile_amnesic(
     model: EnergyModel,
     profile: Optional[ProfileResult] = None,
     options: PassOptions = PassOptions(),
-    backend: Optional[str] = None,
 ) -> CompilationResult:
     """Run the full amnesic pass over *program*.
 
     *profile* may be supplied to reuse an existing profiling run (e.g.
-    when compiling the same program under several option sets).
-    *backend* names the execution backend for the profiling run when one
-    is needed; backends are trace-equivalent, so the compiled binary is
-    identical either way.
+    when compiling the same program under several option sets);
+    otherwise one is recorded on the reference CPU, so the compiled
+    binary never depends on the execution backend.
     """
     telemetry = get_telemetry()
     with telemetry.span(
@@ -117,7 +115,7 @@ def compile_amnesic(
         formation=options.formation,
     ) as compile_span:
         if profile is None:
-            profile = profile_program(program, model, backend=backend)
+            profile = profile_program(program, model)
         tracker = profile.dependence
         context = CostContext.from_trace(
             model, profile.loads, tracker, estimation=options.estimation

@@ -48,7 +48,6 @@ class AmnesicCPU(CPU):
         binary: AmnesicBinary,
         model,
         policy: Policy,
-        tracer=None,
         max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
         hist_capacity: int = DEFAULT_HIST_CAPACITY,
         sfile_capacity: int = DEFAULT_SFILE_CAPACITY,
@@ -56,9 +55,7 @@ class AmnesicCPU(CPU):
         verify: bool = True,
         concurrent_offload: bool = False,
     ):
-        super().__init__(
-            binary.program, model, tracer=tracer, max_instructions=max_instructions
-        )
+        super().__init__(binary.program, model, max_instructions=max_instructions)
         self.binary = binary
         self.policy = policy
         self.verify = verify
@@ -283,7 +280,7 @@ class AmnesicCPU(CPU):
                     info.slice_id, expected=expected, actual=value, pc=self.pc
                 )
         self.write_register(instruction.dest, value)
-        self._emit(instruction, result=value, address=address, taken=True)
+        self._emit(instruction, result=value, address=address)
         self.pc += 1
         return True
 
@@ -300,9 +297,7 @@ class AmnesicCPU(CPU):
         self.account.charge(GROUP_LOAD, self.model.access_cost(access))
         self.stats.loads_performed += 1
         self.write_register(instruction.dest, value)
-        self._emit(
-            instruction, result=value, address=address, level=access.level, taken=False
-        )
+        self._emit(instruction, result=value, address=address, level=access.level)
         self.pc += 1
 
     # ------------------------------------------------------------------

@@ -117,13 +117,12 @@ def run_classic(
     program: Program,
     model: Optional[EnergyModel] = None,
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-    tracer=None,
     backend: Optional[str] = None,
 ) -> ExecutionOutcome:
     """Execute *program* under classic semantics."""
     model = model or paper_energy_model()
     cpu_cls = resolve_backend(backend).cpu_cls
-    cpu = cpu_cls(program, model, tracer=tracer, max_instructions=max_instructions)
+    cpu = cpu_cls(program, model, max_instructions=max_instructions)
     stats = cpu.run()
     return ExecutionOutcome(label="classic", stats=stats, account=cpu.account, cpu=cpu)
 
@@ -134,7 +133,6 @@ def run_amnesic(
     model: Optional[EnergyModel] = None,
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
     verify: bool = True,
-    tracer=None,
     backend: Optional[str] = None,
     **cpu_kwargs,
 ) -> ExecutionOutcome:
@@ -147,7 +145,6 @@ def run_amnesic(
         compilation.binary,
         model,
         policy,
-        tracer=tracer,
         max_instructions=max_instructions,
         verify=verify,
         **cpu_kwargs,
@@ -171,7 +168,7 @@ def compare(
     model = model or paper_energy_model()
     if policy == "Oracle":
         options = _oracle_options(options)
-    compilation = compile_amnesic(program, model, options=options, backend=backend)
+    compilation = compile_amnesic(program, model, options=options)
     classic = run_classic(
         program, model, max_instructions=max_instructions, backend=backend
     )
@@ -226,7 +223,6 @@ class EvaluationSetup:
                 self.model,
                 profile=self.probabilistic.profile,
                 options=_oracle_options(self.options),
-                backend=self.backend,
             )
         return self.all_valid
 
@@ -265,7 +261,6 @@ def prepare_evaluation(
         program,
         model,
         options=dataclasses.replace(options, selection=SELECTION_PROBABILISTIC),
-        backend=backend,
     )
     return EvaluationSetup(
         program=program,

@@ -2,8 +2,9 @@
 
 :class:`CPU` executes a program under *classic* execution semantics:
 every load walks the memory hierarchy, every instruction is priced by
-the energy model, and an optional tracer observes each retired
-instruction.  The amnesic machine (:mod:`repro.core.amnesic_cpu`)
+the energy model, and an optional tracer (a
+:class:`~repro.trace.dependence.DependenceTracker`, the one profile
+recorder) is handed each retired instruction.  The amnesic machine (:mod:`repro.core.amnesic_cpu`)
 subclasses this interpreter and overrides only the handling of the three
 amnesic opcodes, so classic and amnesic execution share all value,
 memory, and pricing semantics — exactly the "equivalent to classic
@@ -32,7 +33,6 @@ from ..isa.program import Program
 from ..isa.semantics import branch_taken, evaluate
 from ..telemetry.profiler import TAIL_KEY
 from ..telemetry.runtime import get_telemetry
-from ..trace.events import InstructionEvent
 from .hierarchy import MemoryHierarchy
 from .memory import Memory
 from .stats import RunStats
@@ -146,7 +146,7 @@ class CPU:
         telemetry = get_telemetry()
         profiler = telemetry.active_profiler()
         self._timeline = telemetry.open_timeline(self)
-        # Instrumented runs (tracer events, timeline sampling, hot-loop
+        # Instrumented runs (trace recording, timeline sampling, hot-loop
         # profiling) take per-instruction fallback loops; the ``mode``
         # attribute lets the bench artifacts aggregate untraced
         # execution throughput separately from instrumented runs.
@@ -372,7 +372,7 @@ class CPU:
         b = self.resolve(instruction.srcs[1])
         taken = branch_taken(instruction.opcode, a, b)
         self.account.charge(GROUP_NONMEM, self.model.compute_cost(Category.BRANCH))
-        self._emit(instruction, operand_values=(a, b), taken=taken)
+        self._emit(instruction, operand_values=(a, b))
         if taken:
             self.stats.branches_taken += 1
             self.pc = self.program.pc_of(instruction.target)
@@ -396,27 +396,22 @@ class CPU:
         result=None,
         address=None,
         level=None,
-        taken=None,
     ) -> None:
+        """Retire *instruction*: number it, sample, and record it.
+
+        The tracer's ``append`` receives the dynamic index, pc,
+        instruction, operand values read, result, effective address and
+        servicing level — everything the dependence trace keeps.
+        """
         index = self._dynamic_index
         self._dynamic_index += 1
         timeline = self._timeline
         if timeline is not None and self._dynamic_index >= timeline.next_capture:
             timeline.capture(self._dynamic_index)
-        if self.tracer is None:
-            return
-        self.tracer.on_instruction(
-            InstructionEvent(
-                index=index,
-                pc=self.pc,
-                instruction=instruction,
-                operand_values=operand_values,
-                result=result,
-                address=address,
-                level=level,
-                taken=taken,
+        if self.tracer is not None:
+            self.tracer.append(
+                index, self.pc, instruction, operand_values, result, address, level
             )
-        )
 
     @property
     def dynamic_count(self) -> int:

@@ -43,22 +43,16 @@ The semantics/timing/observability contract a backend must honour:
 * **Observability**: a run with a timeline attached falls back to the
   classic loop (timelines sample mid-run state at instruction
   granularity); a run under the hot-loop profiler uses the classic
-  profiled loop (the profiler measures the classic dispatch path); a
-  run with a tracer keeps the predecoded per-pc loop, unfused, with
-  *traced* closure variants that construct the same
-  :class:`~repro.trace.events.InstructionEvent` the classic handler
-  would emit — same index, pc, operand values, result, address, level,
-  and branch outcome — so dependence/locality profiles built on the
-  event stream are identical.  The tracer is bound at decode time
-  (tracers are fixed at CPU construction), and opcodes without a traced
-  template (the amnesic control opcodes) thunk through the classic
-  handler, which emits via ``CPU._emit`` as before.
+  profiled loop (the profiler measures the classic dispatch path); and
+  a run with a tracer takes the classic loop too, so the dependence
+  trace is always recorded by the reference interpreter's ``CPU._emit``
+  (profiling itself always runs the reference :class:`CPU`).
 
 Instruction counting (``RunStats.dynamic_instructions`` /
 ``by_category``) is deferred to a per-pc hit-count array and flushed
 when the loop exits (including on faults, preserving the classic
 "count before execute" order); ``CPU._dynamic_index`` stays live
-because budgets, timelines, and event indices read it mid-run.
+because budgets and the classic handlers' ``_emit`` read it mid-run.
 """
 
 from __future__ import annotations
@@ -77,7 +71,6 @@ from ..errors import ExecutionLimitExceeded, MachineFault, MemoryFault
 from ..isa.opcodes import _OPCODE_CATEGORY, Category, Opcode
 from ..isa.operands import HistRef, Imm, Reg, SReg
 from ..isa.semantics import _BRANCH_CONDITIONS, _EVALUATORS, wrap_int64
-from ..trace.events import InstructionEvent
 from .config import Level
 from .cpu import CPU
 
@@ -148,19 +141,14 @@ class _ProgramDecoder:
         hit count is never flushed into RunStats — the classic loop
         faults on fetch *before* counting, and so do we.
         """
-        cpu = self.cpu
-        tracer = cpu.tracer
         fns = []
         cats = []
         for pc, instruction in enumerate(self.program.instructions):
             cats.append(_OPCODE_CATEGORY[instruction.opcode])
-            fn = None
             if instruction.opcode is Opcode.HALT:
                 fn = self._make_halt(pc, instruction)
-            elif tracer is None:
-                fn = self._make_specialized(pc, instruction)
             else:
-                fn = self._make_traced(pc, instruction, tracer.on_instruction)
+                fn = self._make_specialized(pc, instruction)
             if fn is None:
                 fn = self._make_thunk(pc, instruction)
             fns.append(fn)
@@ -189,39 +177,6 @@ class _ProgramDecoder:
             return self._make_nop(pc, instruction)
         if opcode is Opcode.REC:
             return self._make_rec(pc, instruction)
-        return None
-
-    def _make_traced(self, pc, instruction, emit):
-        """Specialized closure that also emits the classic trace event.
-
-        Each traced template performs the same specialized work as its
-        untraced sibling and then constructs the exact
-        :class:`InstructionEvent` the classic handler would pass to the
-        tracer: operand values read once and reused, results/addresses/
-        service levels captured mid-execution, the event index taken
-        from the live ``_dynamic_index``.  Fault paths emit nothing,
-        matching classic handlers (which fault before ``_emit``).
-        """
-        opcode = instruction.opcode
-        category = _OPCODE_CATEGORY[opcode]
-        if category.is_compute:
-            return self._make_traced_compute(pc, instruction, emit)
-        if opcode is Opcode.LD:
-            return self._make_traced_load(pc, instruction, emit)
-        if opcode is Opcode.ST:
-            return self._make_traced_store(pc, instruction, emit)
-        if category is Category.BRANCH:
-            return self._make_traced_branch(pc, instruction, emit)
-        if opcode is Opcode.JMP:
-            return self._make_traced_jmp(pc, instruction, emit)
-        if opcode is Opcode.JAL:
-            return self._make_traced_jal(pc, instruction, emit)
-        if opcode is Opcode.JR:
-            return self._make_traced_jr(pc, instruction, emit)
-        if opcode is Opcode.NOP:
-            return self._make_traced_nop(pc, instruction, emit)
-        # Amnesic control opcodes and odd instructions thunk: the
-        # classic handler emits via CPU._emit.
         return None
 
     def _boxes(self, srcs):
@@ -573,315 +528,6 @@ class _ProgramDecoder:
 
         return f
 
-    # ------------------------------------------------------------------
-    # Traced closure templates.  Same specialized work as above, plus
-    # the classic handler's InstructionEvent, field for field.
-    # ------------------------------------------------------------------
-    def _make_traced_compute(self, pc, instruction, emit):
-        evaluator = _EVALUATORS.get(instruction.opcode)
-        if evaluator is None or not isinstance(instruction.dest, Reg):
-            return None
-        boxes = self._boxes(instruction.srcs)
-        if boxes is None:
-            return None
-        energy_nj, time_ns = self.compute_cost(instruction.category)
-        regs = self.registers
-        dest = instruction.dest.index
-        nxt = pc + 1
-
-        if len(boxes) == 2:
-            (b0, i0), (b1, i1) = boxes
-
-            def f(
-                evaluator=evaluator, b0=b0, i0=i0, b1=b1, i1=i1, regs=regs,
-                dest=dest, energy=self.energy, account=self.account,
-                cpu=self.cpu, energy_nj=energy_nj, time_ns=time_ns,
-                nxt=nxt, pc=pc, instruction=instruction, emit=emit,
-                Event=InstructionEvent,
-            ):
-                v0 = b0[i0]
-                v1 = b1[i1]
-                try:
-                    result = evaluator(v0, v1)
-                except MachineFault as fault:
-                    raise type(fault)(str(fault), pc=pc) from None
-                if dest:
-                    regs[dest] = result
-                energy[GROUP_NONMEM] += energy_nj
-                account._time_ns += time_ns
-                index = cpu._dynamic_index
-                cpu._dynamic_index = index + 1
-                emit(Event(index, pc, instruction, (v0, v1), result))
-                return nxt
-
-            return f
-
-        def f(
-            evaluator=evaluator, boxes=tuple(boxes), regs=regs, dest=dest,
-            energy=self.energy, account=self.account, cpu=self.cpu,
-            energy_nj=energy_nj, time_ns=time_ns, nxt=nxt, pc=pc,
-            instruction=instruction, emit=emit, Event=InstructionEvent,
-        ):
-            values = tuple(b[i] for b, i in boxes)
-            try:
-                result = evaluator(*values)
-            except MachineFault as fault:
-                raise type(fault)(str(fault), pc=pc) from None
-            if dest:
-                regs[dest] = result
-            energy[GROUP_NONMEM] += energy_nj
-            account._time_ns += time_ns
-            index = cpu._dynamic_index
-            cpu._dynamic_index = index + 1
-            emit(Event(index, pc, instruction, values, result))
-            return nxt
-
-        return f
-
-    def _make_traced_load(self, pc, instruction, emit):
-        if not isinstance(instruction.dest, Reg):
-            return None
-        parts = self._address_parts(instruction.srcs[0], instruction.srcs[1])
-        if parts is None:
-            return None
-        (b0, i0), (b1, i1) = parts
-        cpu = self.cpu
-        hierarchy = cpu.hierarchy
-        l1 = hierarchy.l1
-
-        def f(
-            b0=b0, i0=i0, b1=b1, i1=i1, pc=pc, nxt=pc + 1,
-            cells=self.cells, regs=self.registers, dest=instruction.dest.index,
-            l1_sets=l1._sets, shift=l1._line_shift, nsets=l1.geometry.sets,
-            l1_stats=l1.stats, service_miss=hierarchy._service_miss,
-            loads_by_level=hierarchy.stats.loads_by_level, l1_level=Level.L1,
-            l1_cost=self.load_costs[Level.L1], load_costs=self.load_costs,
-            stats=self.stats, energy=self.energy, account=self.account,
-            cpu=cpu, instruction=instruction, emit=emit,
-            Event=InstructionEvent,
-        ):
-            address = b0[i0] + b1[i1]
-            if isinstance(address, float):
-                if not address.is_integer():
-                    raise MachineFault(
-                        f"non-integer effective address {address}", pc=pc
-                    )
-                address = int(address)
-            try:
-                value = cells[address]
-            except KeyError:
-                raise MemoryFault(
-                    f"read of unmapped address {address:#x}"
-                ) from None
-            line = address >> shift
-            cache_set = l1_sets[line % nsets]
-            if line in cache_set:
-                l1_stats.hits += 1
-                cache_set.move_to_end(line)
-                loads_by_level[l1_level] += 1
-                level = l1_level
-                energy_nj, time_ns = l1_cost
-            else:
-                l1_stats.misses += 1
-                level = service_miss(address, False)
-                loads_by_level[level] += 1
-                energy_nj, time_ns = load_costs[level]
-            energy[GROUP_LOAD] += energy_nj
-            account._time_ns += time_ns
-            stats.loads_performed += 1
-            if dest:
-                regs[dest] = value
-            index = cpu._dynamic_index
-            cpu._dynamic_index = index + 1
-            emit(Event(index, pc, instruction, (), value, address, level))
-            return nxt
-
-        return f
-
-    def _make_traced_store(self, pc, instruction, emit):
-        value_box = _operand_box(self.registers, instruction.srcs[0])
-        parts = self._address_parts(instruction.srcs[1], instruction.srcs[2])
-        if value_box is None or parts is None:
-            return None
-        (b0, i0), (b1, i1) = parts
-        bv, iv = value_box
-        cpu = self.cpu
-        memory = cpu.memory
-        hierarchy = cpu.hierarchy
-        l1 = hierarchy.l1
-        read_only = memory.is_read_only if memory._read_only else None
-
-        def f(
-            bv=bv, iv=iv, b0=b0, i0=i0, b1=b1, i1=i1, pc=pc, nxt=pc + 1,
-            cells=self.cells, read_only=read_only,
-            l1_sets=l1._sets, shift=l1._line_shift, nsets=l1.geometry.sets,
-            l1_stats=l1.stats, service_miss=hierarchy._service_miss,
-            stores_by_level=hierarchy.stats.stores_by_level, l1_level=Level.L1,
-            l1_cost=self.store_costs[Level.L1], store_costs=self.store_costs,
-            stats=self.stats, energy=self.energy, account=self.account,
-            cpu=cpu, instruction=instruction, emit=emit,
-            Event=InstructionEvent,
-        ):
-            value = bv[iv]
-            address = b0[i0] + b1[i1]
-            if isinstance(address, float):
-                if not address.is_integer():
-                    raise MachineFault(
-                        f"non-integer effective address {address}", pc=pc
-                    )
-                address = int(address)
-            if read_only is not None and read_only(address):
-                raise MemoryFault(f"write to read-only address {address:#x}")
-            cells[address] = value
-            line = address >> shift
-            cache_set = l1_sets[line % nsets]
-            if line in cache_set:
-                l1_stats.hits += 1
-                cache_set[line] = True
-                cache_set.move_to_end(line)
-                stores_by_level[l1_level] += 1
-                level = l1_level
-                energy_nj, time_ns = l1_cost
-            else:
-                l1_stats.misses += 1
-                level = service_miss(address, True)
-                stores_by_level[level] += 1
-                energy_nj, time_ns = store_costs[level]
-            energy[GROUP_STORE] += energy_nj
-            account._time_ns += time_ns
-            stats.stores_performed += 1
-            index = cpu._dynamic_index
-            cpu._dynamic_index = index + 1
-            emit(Event(index, pc, instruction, (value,), None, address, level))
-            return nxt
-
-        return f
-
-    def _make_traced_branch(self, pc, instruction, emit):
-        condition = _BRANCH_CONDITIONS.get(instruction.opcode)
-        if condition is None:
-            return None
-        boxes = self._boxes(instruction.srcs)
-        if boxes is None or len(boxes) != 2:
-            return None
-        taken_pc = self._target_pc(instruction)
-        if taken_pc is None:
-            return None
-        (b0, i0), (b1, i1) = boxes
-        energy_nj, time_ns = self.compute_cost(Category.BRANCH)
-
-        def f(
-            condition=condition, b0=b0, i0=i0, b1=b1, i1=i1,
-            energy=self.energy, account=self.account, cpu=self.cpu,
-            stats=self.stats, energy_nj=energy_nj, time_ns=time_ns,
-            taken_pc=taken_pc, nxt=pc + 1, pc=pc, instruction=instruction,
-            emit=emit, Event=InstructionEvent,
-        ):
-            a = b0[i0]
-            b = b1[i1]
-            taken = condition(a, b)
-            energy[GROUP_NONMEM] += energy_nj
-            account._time_ns += time_ns
-            index = cpu._dynamic_index
-            cpu._dynamic_index = index + 1
-            emit(Event(index, pc, instruction, (a, b), None, None, None, taken))
-            if taken:
-                stats.branches_taken += 1
-                return taken_pc
-            return nxt
-
-        return f
-
-    def _make_traced_jmp(self, pc, instruction, emit):
-        target_pc = self._target_pc(instruction)
-        if target_pc is None:
-            return None
-        energy_nj, time_ns = self.compute_cost(Category.JUMP)
-
-        def f(
-            energy=self.energy, account=self.account, cpu=self.cpu,
-            energy_nj=energy_nj, time_ns=time_ns, target_pc=target_pc,
-            pc=pc, instruction=instruction, emit=emit, Event=InstructionEvent,
-        ):
-            index = cpu._dynamic_index
-            cpu._dynamic_index = index + 1
-            emit(Event(index, pc, instruction))
-            energy[GROUP_NONMEM] += energy_nj
-            account._time_ns += time_ns
-            return target_pc
-
-        return f
-
-    def _make_traced_jal(self, pc, instruction, emit):
-        target_pc = self._target_pc(instruction)
-        if target_pc is None or not isinstance(instruction.dest, Reg):
-            return None
-        energy_nj, time_ns = self.compute_cost(Category.JUMP)
-
-        def f(
-            regs=self.registers, dest=instruction.dest.index, return_pc=pc + 1,
-            energy=self.energy, account=self.account, cpu=self.cpu,
-            energy_nj=energy_nj, time_ns=time_ns, target_pc=target_pc,
-            pc=pc, instruction=instruction, emit=emit, Event=InstructionEvent,
-        ):
-            if dest:
-                regs[dest] = return_pc
-            index = cpu._dynamic_index
-            cpu._dynamic_index = index + 1
-            emit(Event(index, pc, instruction, (), return_pc))
-            energy[GROUP_NONMEM] += energy_nj
-            account._time_ns += time_ns
-            return target_pc
-
-        return f
-
-    def _make_traced_jr(self, pc, instruction, emit):
-        box = _operand_box(self.registers, instruction.srcs[0])
-        if box is None:
-            return None
-        b0, i0 = box
-        energy_nj, time_ns = self.compute_cost(Category.JUMP)
-        limit = len(self.program.instructions)
-
-        def f(
-            b0=b0, i0=i0, limit=limit, pc=pc, instruction=instruction,
-            energy=self.energy, account=self.account, cpu=self.cpu,
-            energy_nj=energy_nj, time_ns=time_ns, emit=emit,
-            Event=InstructionEvent,
-        ):
-            target = b0[i0]
-            if not isinstance(target, int) or not 0 <= target < limit:
-                raise MachineFault(
-                    f"jump-register {instruction} to invalid pc {target!r} "
-                    f"(valid pcs are 0..{limit - 1})",
-                    pc=pc,
-                )
-            index = cpu._dynamic_index
-            cpu._dynamic_index = index + 1
-            emit(Event(index, pc, instruction, (target,)))
-            energy[GROUP_NONMEM] += energy_nj
-            account._time_ns += time_ns
-            return target
-
-        return f
-
-    def _make_traced_nop(self, pc, instruction, emit):
-        energy_nj, time_ns = self.compute_cost(Category.NOP)
-
-        def f(
-            energy=self.energy, account=self.account, cpu=self.cpu,
-            energy_nj=energy_nj, time_ns=time_ns, nxt=pc + 1, pc=pc,
-            instruction=instruction, emit=emit, Event=InstructionEvent,
-        ):
-            index = cpu._dynamic_index
-            cpu._dynamic_index = index + 1
-            emit(Event(index, pc, instruction))
-            energy[GROUP_NONMEM] += energy_nj
-            account._time_ns += time_ns
-            return nxt
-
-        return f
-
     def _make_halt(self, pc, instruction):
         def f(cpu=self.cpu, pc=pc, instruction=instruction):
             cpu.pc = pc
@@ -894,9 +540,9 @@ class _ProgramDecoder:
     def _make_thunk(self, pc, instruction):
         """Classic-handler fallback: exact semantics at dispatch-table speed.
 
-        Covers traced runs (identical event streams by construction),
-        the amnesic control opcodes, slice-region pcs, and any statically
-        odd instruction whose classic handler should fault at runtime.
+        Covers the amnesic control opcodes, slice-region pcs, and any
+        statically odd instruction whose classic handler should fault at
+        runtime.
         """
         handler = self.cpu._dispatch.get(instruction.opcode)
         if handler is None:
@@ -946,9 +592,8 @@ class _ProgramDecoder:
 #   region executes element by element through the original per-pc
 #   closures with the classic per-instruction budget check (and the
 #   classic "fault before counting the pending instruction" order).
-# * **Traced/timeline/profiled runs** — traced runs dispatch the per-pc
-#   traced closures with nothing fused (identical event streams);
-#   timeline and profiled runs take the classic loops.
+# * **Traced/timeline/profiled runs** — take the classic loops, which
+#   record, sample and profile per retired instruction.
 # * **Mid-region entry** — a JR can land inside a region at runtime, so
 #   every non-start pc keeps its per-pc closure; only the region start
 #   dispatches the fused body.
@@ -1503,9 +1148,8 @@ class BatchedExecutionMixin:
     :class:`~repro.staticcheck.regions.RegionReport` at predecode time
     (imported lazily — the staticcheck package sits above the machine
     layer): pure and memory regions fuse, faulting and in-slice regions
-    stay per-pc.  Traced runs dispatch the per-pc traced closures and
-    fuse nothing; timeline and profiled runs take the classic loops —
-    see the module docstring for the full backend contract.
+    stay per-pc.  Traced, timeline and profiled runs take the classic
+    loops — see the module docstring for the full backend contract.
     """
 
     def _decoded_batched(self):
@@ -1518,10 +1162,6 @@ class BatchedExecutionMixin:
         decoder = _ProgramDecoder(self)
         fns, cats = decoder.decode()
         table = _BatchTable(fns, cats)
-        if self.tracer is not None:
-            # The decoder bound traced closures, which emit one event
-            # per instruction; fusing would drop events.
-            return table
         from ..staticcheck.regions import KIND_FAULTING, RegionReport
 
         body_fns = list(fns)  # originals, for mid-region entry + guard
@@ -1567,11 +1207,11 @@ class BatchedExecutionMixin:
     def _traverse_slice(self, info):
         """Fuse slice traversals the way main-code regions fuse.
 
-        Only reached on the amnesic variant.  Traced and timeline runs,
-        and slices :func:`_fuse_slice` cannot express, take the
-        reference interpreter, which faults at the identical element.
+        Only reached on the amnesic variant.  Timeline runs, and slices
+        :func:`_fuse_slice` cannot express, take the reference
+        interpreter, which faults at the identical element.
         """
-        if self.tracer is None and self._timeline is None:
+        if self._timeline is None:
             cache = self.__dict__.get("_fused_slices")
             if cache is None:
                 cache = self.__dict__["_fused_slices"] = {}
@@ -1584,9 +1224,9 @@ class BatchedExecutionMixin:
         return self._traverse_slice_interpreted(info)
 
     def _run_loop(self) -> None:
-        if self._timeline is not None:
-            # Timelines capture mid-run state per retired instruction;
-            # the classic loop keeps that observability exact.
+        if self._timeline is not None or self.tracer is not None:
+            # Timelines capture mid-run state and tracers record every
+            # retired instruction; the classic loop keeps both exact.
             return super()._run_loop()
         table = self._decoded_batched()
         fns = table.fns

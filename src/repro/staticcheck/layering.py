@@ -74,6 +74,14 @@ LAYERING_RULES: Tuple[LayerRule, ...] = (
                "repro.energy and observation in repro.telemetry/trace",
     ),
     LayerRule(
+        name="machine-does-not-record",
+        scope="repro.machine",
+        forbidden=("repro.trace",),
+        reason="the CPU hands each retired instruction to the tracer it "
+               "was given; the trace layer builds on the machine, never "
+               "the reverse",
+    ),
+    LayerRule(
         name="telemetry-observes-only",
         scope="repro.telemetry",
         forbidden=(

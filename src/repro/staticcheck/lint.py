@@ -153,7 +153,6 @@ class LintSettings:
     prove_rules: bool = False
     self_check: bool = False
     regions_out: Optional[str] = None
-    backend: Optional[str] = None
 
 
 def _count_findings(report: LintReport) -> None:
@@ -171,16 +170,13 @@ def lint_program(
     program: Program,
     model: EnergyModel,
     options: PassOptions,
-    backend: Optional[str] = None,
     regions_out: Optional[str] = None,
 ) -> Tuple[ProgramResult, Optional[CompilationResult]]:
     """Compile *program* and run the full rule set over the artifact."""
     telemetry = get_telemetry()
     with telemetry.span("lint.program", program=name):
         try:
-            compilation = compile_amnesic(
-                program, model, options=options, backend=backend
-            )
+            compilation = compile_amnesic(program, model, options=options)
         except ReproError as error:
             report = LintReport(program=name)
             report.add(D.GEN000, f"amnesic compilation failed: {error}")
@@ -216,7 +212,6 @@ def _lint_kernels(run: LintRun, settings: LintSettings, progress: Progress) -> N
             program,
             model,
             PassOptions(),
-            backend=settings.backend,
             regions_out=settings.regions_out,
         )
         result.kind = KIND_KERNEL
@@ -256,7 +251,6 @@ def _lint_corpus(run: LintRun, settings: LintSettings, progress: Progress) -> No
             program,
             model,
             options,
-            backend=settings.backend,
             regions_out=settings.regions_out,
         )
         result.kind = KIND_CORPUS
@@ -352,9 +346,7 @@ def prove_rules(
     for entry in entries:
         program = materialize(entry.spec)
         try:
-            compilation = compile_amnesic(
-                program, model, options=options, backend=settings.backend
-            )
+            compilation = compile_amnesic(program, model, options=options)
             compiled[entry.name] = (program, compilation)
             compiled[f"{entry.name}@noswap"] = (
                 program,

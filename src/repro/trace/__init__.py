@@ -1,9 +1,7 @@
 """Tracing and profiling: dependence graphs, PrLi profiles, value locality."""
 
 from .dependence import SRC_IMM, SRC_REG, DependenceTracker, DynRecord
-from .events import InstructionEvent, MultiTracer, NullTracer
 from .locality import DEFAULT_HISTORY_DEPTH, ValueLocalityTracker
-from .io import dump_trace, load_trace
 from .profile import LoadProfiler
 from .recorder import ProfileResult, profile_program
 from .summary import (
@@ -19,10 +17,7 @@ __all__ = [
     "DEFAULT_HISTORY_DEPTH",
     "DependenceTracker",
     "DynRecord",
-    "InstructionEvent",
     "LoadProfiler",
-    "MultiTracer",
-    "NullTracer",
     "ProfileResult",
     "SRC_IMM",
     "SRC_REG",
@@ -31,8 +26,6 @@ __all__ = [
     "ReuseProfile",
     "TraceSummary",
     "ValueLocalityTracker",
-    "dump_trace",
-    "load_trace",
     "profile_program",
     "reuse_profile",
     "summarise_trace",

@@ -14,36 +14,35 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterable, List
 
-from ..isa.opcodes import Opcode
-from .events import InstructionEvent
+from .dependence import DependenceTracker
 
 #: History depth of the locality detector (1 = "same as last time").
 DEFAULT_HISTORY_DEPTH = 4
 
 
 class ValueLocalityTracker:
-    """Tracer measuring per-static-load value locality."""
+    """Per-static-load value locality of a recorded run."""
 
-    def __init__(self, history_depth: int = DEFAULT_HISTORY_DEPTH):
+    def __init__(
+        self,
+        tracker: DependenceTracker,
+        history_depth: int = DEFAULT_HISTORY_DEPTH,
+    ):
         if history_depth < 1:
             raise ValueError("history depth must be >= 1")
         self.history_depth = history_depth
-        self._history: Dict[int, deque] = {}
         self._hits: Dict[int, int] = {}
         self._total: Dict[int, int] = {}
-
-    # ------------------------------------------------------------------
-    # Tracer interface.
-    # ------------------------------------------------------------------
-    def on_instruction(self, event: InstructionEvent) -> None:
-        if event.opcode is not Opcode.LD:
-            return
-        pc, value = event.pc, event.result
-        history = self._history.setdefault(pc, deque(maxlen=self.history_depth))
-        self._total[pc] = self._total.get(pc, 0) + 1
-        if value in history:
-            self._hits[pc] = self._hits.get(pc, 0) + 1
-        history.append(value)
+        for pc, loads in tracker.loads_by_pc.items():
+            history: deque = deque(maxlen=history_depth)
+            hits = 0
+            for record in loads:
+                value = record.result
+                if value in history:
+                    hits += 1
+                history.append(value)
+            self._total[pc] = len(loads)
+            self._hits[pc] = hits
 
     # ------------------------------------------------------------------
     # Queries.

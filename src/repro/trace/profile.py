@@ -5,7 +5,8 @@ consumption of the respective load" (paper section 3), deriving PrLi —
 the probability that a load is serviced by level Li — "from hit and miss
 statistics of Li under profiling" (section 3.1.1).
 
-:class:`LoadProfiler` is a tracer that builds those statistics, both per
+:class:`LoadProfiler` derives those statistics from the service levels
+a :class:`~repro.trace.dependence.DependenceTracker` recorded, both per
 static load (the default estimation mode) and globally (the coarser
 fallback used when a static load was never observed, and the mode knob
 for the estimation-accuracy ablation).
@@ -16,26 +17,19 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List
 
-from ..isa.opcodes import Opcode
 from ..machine.config import LEVELS, Level
-from .events import InstructionEvent
+from .dependence import DependenceTracker
 
 
 class LoadProfiler:
-    """Tracer accumulating per-static-load service-level histograms."""
+    """Per-static-load service-level histograms of a recorded run."""
 
-    def __init__(self) -> None:
+    def __init__(self, tracker: DependenceTracker) -> None:
         self.per_load: Dict[int, Counter] = {}
         self.global_counts: Counter = Counter()
-
-    # ------------------------------------------------------------------
-    # Tracer interface.
-    # ------------------------------------------------------------------
-    def on_instruction(self, event: InstructionEvent) -> None:
-        if event.opcode is not Opcode.LD or event.level is None:
-            return
-        self.per_load.setdefault(event.pc, Counter())[event.level] += 1
-        self.global_counts[event.level] += 1
+        for pc, loads in tracker.loads_by_pc.items():
+            counts = self.per_load[pc] = Counter(record.level for record in loads)
+            self.global_counts.update(counts)
 
     # ------------------------------------------------------------------
     # PrLi queries.

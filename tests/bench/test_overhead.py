@@ -45,16 +45,15 @@ class BaselineCPU(CPU):
         return self.stats
 
     def _emit(self, instruction, operand_values=(), result=None,
-              address=None, level=None, taken=None):
-        # The pre-PR body verbatim (sans the timeline check): keeping
-        # the index load and tracer branch makes the comparison isolate
-        # exactly the code this PR added.
+              address=None, level=None):
+        # CPU._emit minus the timeline check: keeping the index load
+        # and tracer branch makes the comparison isolate exactly the
+        # timeline hook.
         index = self._dynamic_index
         self._dynamic_index += 1
-        if self.tracer is None:
-            return
-        del index
-        raise AssertionError("overhead guard must run without a tracer")
+        if self.tracer is not None:
+            del index
+            raise AssertionError("overhead guard must run without a tracer")
 
 
 def _timed_run(cpu_factory, program, model):

@@ -116,39 +116,6 @@ def test_seeded_backend_equivalence_round(backend, model):
     assert checked >= 5, "seed produced too few materializable specs"
 
 
-def test_compilation_identical_across_profiling_backends(model):
-    # The compiler's profiling run may execute on either backend: the
-    # traced per-pc closures emit the classic event stream field for
-    # field, so the dependence/load/locality profiles — and therefore
-    # the compiled binary — must come out identical.
-    from repro.compiler.amnesic_pass import compile_amnesic
-
-    checked = 0
-    for spec in generate_specs(BACKEND_FUZZ_SEED + 2, 8):
-        try:
-            program = materialize(spec)
-        except ReproError:
-            continue
-        try:
-            classic = compile_amnesic(program, model, backend="classic")
-        except ReproError:
-            continue  # uncompilable spec; backend choice is moot
-        for backend in NON_CLASSIC_BACKENDS:
-            fast = compile_amnesic(program, model, backend=backend)
-            assert classic.swapped_load_pcs == fast.swapped_load_pcs, spec.name
-            assert classic.rejected == fast.rejected, spec.name
-            assert (
-                classic.binary.program.instructions
-                == fast.binary.program.instructions
-            ), spec.name
-            assert (
-                classic.profile.stats.dynamic_instructions
-                == fast.profile.stats.dynamic_instructions
-            ), spec.name
-        checked += 1
-    assert checked >= 4, "seed produced too few compilable specs"
-
-
 def test_backend_check_reports_fault_divergence_kind(model):
     # The failure channel itself: a program whose classic run faults
     # must produce a clean (fault-parity) verdict, not a crash.

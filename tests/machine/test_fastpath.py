@@ -2,11 +2,11 @@
 
 The ``fast-batched`` backend predecodes the program into per-pc
 closures and fuses proven straight-line regions on top of them.  The
-per-pc closures still serve non-region pcs, mid-region JR entry, and
-every traced run, and the contract is that nothing observable
-changes: architectural state, RunStats, cache state, the per-group
-energy breakdown, modeled time, traced event streams, and fault
-type/message/pc must all be byte-for-byte the classic ones.
+per-pc closures still serve non-region pcs and mid-region JR entry,
+and the contract is that nothing observable changes: architectural
+state, RunStats, cache state, the per-group energy breakdown, modeled
+time, recorded dependence traces, and fault type/message/pc must all
+be byte-for-byte the classic ones.
 These tests pin that contract on hand-written programs; the fuzz
 oracle's :func:`repro.fuzz.check_backend_equivalence` pins it on
 generated ones.
@@ -25,21 +25,13 @@ from repro.errors import (
 )
 from repro.isa import Opcode, ProgramBuilder
 from repro.machine import CPU, BatchedFastCPU
-from repro.trace import InstructionEvent
+from repro.trace import DependenceTracker
 
 from ..conftest import build_spill_kernel, tiny_config
 
 
 def make_model():
     return EnergyModel(epi=EPITable.default(), config=tiny_config())
-
-
-class RecordingTracer:
-    def __init__(self):
-        self.events = []
-
-    def on_instruction(self, event: InstructionEvent):
-        self.events.append(event)
 
 
 def run_pair(program, max_instructions=100_000, tracer_factory=None):
@@ -120,14 +112,14 @@ def test_branchy_arithmetic_is_bit_identical():
 def test_traced_runs_emit_identical_event_streams():
     program = build_spill_kernel(iterations=6, chain=2, gap=4)
     (classic, ct, _), (fast, ft, _) = run_pair(
-        program, tracer_factory=RecordingTracer
+        program, tracer_factory=DependenceTracker
     )
     assert_state_equal(classic, fast)
-    # A traced run dispatches per-pc traced closures only.
-    assert not fast._decoded_batched().region_spans
-    assert len(ct.events) == len(ft.events)
-    for left, right in zip(ct.events, ft.events):
-        assert left == right
+    # A traced run takes the classic loop: no batch decode is built.
+    assert "_batch_decode" not in fast.__dict__
+    assert len(ct) == classic.dynamic_count > 0
+    assert ft.records == ct.records
+    assert any(record.level is not None for record in ft.records)
 
 
 def test_jr_one_past_the_end_fault_parity():

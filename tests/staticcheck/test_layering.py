@@ -126,3 +126,20 @@ def test_module_importing_itself_is_not_a_cycle(tmp_path):
     """Self-imports resolve back to the importer and are ignored."""
     root = _write_package(tmp_path, {"a.py": "from pkg import a\n"})
     assert check_layering(root, rules=()).findings == []
+
+
+def test_machine_importing_the_trace_layer_is_reported(tmp_path):
+    """A broken variant: the machine layer may not import repro.trace."""
+    (rule,) = [r for r in LAYERING_RULES if r.name == "machine-does-not-record"]
+    root = tmp_path / "repro"
+    (root / "machine").mkdir(parents=True)
+    (root / "trace").mkdir()
+    for package in (root, root / "machine", root / "trace"):
+        (package / "__init__.py").write_text("")
+    (root / "trace" / "dependence.py").write_text("class DependenceTracker: pass\n")
+    (root / "machine" / "cpu.py").write_text(
+        "from ..trace.dependence import DependenceTracker\n"
+    )
+    report = check_layering(str(root), rules=(rule,))
+    assert [f.rule_id for f in report.findings] == ["LAY500"]
+    assert "repro.machine.cpu:1 imports repro.trace" in report.findings[0].message

@@ -5,17 +5,17 @@ import pytest
 from repro.energy import EPITable, EnergyModel
 from repro.isa import ProgramBuilder
 from repro.machine import CPU
-from repro.trace import ValueLocalityTracker
+from repro.trace import DependenceTracker, ValueLocalityTracker
 
 from ..conftest import tiny_config
 
 
 def run_with_tracker(program, depth=4):
-    tracker = ValueLocalityTracker(history_depth=depth)
+    tracker = DependenceTracker()
     cpu = CPU(program, EnergyModel(epi=EPITable.default(), config=tiny_config()),
               tracer=tracker)
     cpu.run()
-    return tracker
+    return ValueLocalityTracker(tracker, history_depth=depth)
 
 
 def constant_load_program(repeats):
@@ -76,9 +76,9 @@ def test_weighted_histogram_bins():
 
 def test_invalid_depth_rejected():
     with pytest.raises(ValueError):
-        ValueLocalityTracker(history_depth=0)
+        ValueLocalityTracker(DependenceTracker(), history_depth=0)
 
 
 def test_empty_histogram():
-    tracker = ValueLocalityTracker()
+    tracker = ValueLocalityTracker(DependenceTracker())
     assert tracker.weighted_histogram([], bins=5) == [0.0] * 5
