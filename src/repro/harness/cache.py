@@ -42,7 +42,8 @@ AGE_BUCKETS = (
 )
 
 #: Bump to orphan every existing entry when the result layout changes.
-CACHE_FORMAT_VERSION = 1
+#: 2: profile ``DynRecord``s became ``NamedTuple``s carrying ``level``.
+CACHE_FORMAT_VERSION = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -99,7 +100,7 @@ class ResultCache:
             telemetry.counter("cache.misses").inc()
             return None
         except (OSError, zlib.error, pickle.UnpicklingError, EOFError,
-                AttributeError, ImportError, IndexError):
+                AttributeError, ImportError, IndexError, TypeError):
             # A torn, corrupt, or stale-format entry is a miss; drop it
             # so the rewritten entry is clean.
             telemetry.counter("suite.result_cache", result="corrupt").inc()

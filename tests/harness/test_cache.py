@@ -8,6 +8,7 @@ on the same key must never leave a torn entry or a stray temp file
 behind (the atomic ``os.replace`` contract).
 """
 
+import dataclasses
 import os
 import pickle
 import threading
@@ -15,7 +16,10 @@ import zlib
 
 import pytest
 
+from repro.harness import cache as cache_module
 from repro.harness.cache import ResultCache, ResultKey, cache_from_env
+from repro.isa import Opcode
+from repro.trace import dependence
 from repro.telemetry.runtime import telemetry_session
 
 
@@ -93,6 +97,58 @@ def test_stale_format_unpicklable_class_is_a_miss(cache):
     (cache.directory / f"{key.digest()}.pkl.z").write_bytes(blob)
     assert cache.get(key) is None
     assert len(cache) == 0
+
+
+def _format_1_blob():
+    """A cached value as format 1 pickled it: a frozen-dataclass DynRecord."""
+
+    @dataclasses.dataclass(frozen=True)
+    class DynRecord:
+        index: int
+        pc: int
+        opcode: Opcode
+        srcs: tuple
+        dest_reg: object
+        result: object
+        address: object = None
+        mem_producer: object = None
+
+    DynRecord.__module__ = dependence.__name__
+    DynRecord.__qualname__ = "DynRecord"
+    current = dependence.DynRecord
+    dependence.DynRecord = DynRecord
+    try:
+        value = [DynRecord(0, 0, Opcode.LD, (), 1, 5, 64, None)]
+        return zlib.compress(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+    finally:
+        dependence.DynRecord = current
+
+
+def test_format_1_entry_at_the_current_digest_is_a_miss(cache):
+    # Unpickling the old layout calls the NamedTuple's __new__ with no
+    # fields, a TypeError; it must degrade like any corrupt entry.
+    key = make_key()
+    (cache.directory / f"{key.digest()}.pkl.z").write_bytes(_format_1_blob())
+    with telemetry_session() as telemetry:
+        assert cache.get(key) is None
+        assert telemetry.registry.value(
+            "suite.result_cache", result="corrupt"
+        ) == 1
+    assert len(cache) == 0
+
+
+def test_format_1_entries_are_never_read(cache, monkeypatch):
+    key = make_key()
+    with monkeypatch.context() as patch:
+        patch.setattr(cache_module, "CACHE_FORMAT_VERSION", 1)
+        format_1_digest = key.digest()
+    assert format_1_digest != key.digest()
+    (cache.directory / f"{format_1_digest}.pkl.z").write_bytes(_format_1_blob())
+    with telemetry_session() as telemetry:
+        assert cache.get(key) is None
+        registry = telemetry.registry
+        assert registry.value("suite.result_cache", result="miss") == 1
+        assert registry.value("suite.result_cache", result="corrupt") is None
 
 
 # ----------------------------------------------------------------------

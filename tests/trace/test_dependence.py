@@ -37,7 +37,7 @@ def test_memory_producer_found():
     b.st(7, base)         # dyn 1
     b.ld(v, base)         # dyn 2
     tracker = trace_program(b.build())
-    load = tracker.dynamic_loads()[0]
+    ((load,),) = tracker.loads_by_pc.values()
     assert load.mem_producer == 1
     assert load.result == 7
 
@@ -49,7 +49,8 @@ def test_load_of_initial_memory_has_no_producer():
     b.li(base, arr)
     b.ld(v, base)
     tracker = trace_program(b.build())
-    assert tracker.dynamic_loads()[0].mem_producer is None
+    ((load,),) = tracker.loads_by_pc.values()
+    assert load.mem_producer is None
 
 
 def test_store_overwrites_previous_producer():
@@ -61,7 +62,8 @@ def test_store_overwrites_previous_producer():
     b.st(2, base)         # dyn 2
     b.ld(v, base)         # dyn 3
     tracker = trace_program(b.build())
-    assert tracker.dynamic_loads()[0].mem_producer == 2
+    ((load,),) = tracker.loads_by_pc.values()
+    assert load.mem_producer == 2
 
 
 def test_immediates_recorded_as_constants():
@@ -82,7 +84,7 @@ def test_loads_at_groups_by_static_pc():
         b.st(i, base)
         b.ld(v, base)
     tracker = trace_program(b.build())
-    load_pcs = {r.pc for r in tracker.dynamic_loads()}
+    load_pcs = set(tracker.loads_by_pc)
     assert len(load_pcs) == 1
     (pc,) = load_pcs
     assert len(tracker.loads_at(pc)) == 3
