@@ -30,13 +30,7 @@ from .dataflow import (
 )
 from .diagnostics import RULES, Finding, LintReport, Severity, render_report
 from .lint import LintRun, LintSettings, run_lint
-from .regions import (
-    RegionAnalysis,
-    RegionArtifactMismatch,
-    RegionReport,
-    analyze_regions,
-    load_region_artifact,
-)
+from .regions import RegionAnalysis, RegionReport, analyze_regions
 from .rules import check_program, verify_compilation
 
 __all__ = [
@@ -52,14 +46,12 @@ __all__ = [
     "MemoryDefUse",
     "ReachingDefinitions",
     "RegionAnalysis",
-    "RegionArtifactMismatch",
     "RegionReport",
     "Severity",
     "analyze_regions",
     "build_cfg",
     "check_program",
     "def_use_chains",
-    "load_region_artifact",
     "memory_def_use",
     "render_report",
     "run_lint",

@@ -1,14 +1,15 @@
 """Batchable straight-line region analysis (the fastpath precondition).
 
-A per-pc closure of the ``fast-batched`` backend (``machine/fastpath.py``)
-retires one instruction per dispatch because every pc might branch,
-fault, or enter the amnesic machinery.  Batching straight-line regions
-into single dispatch units needs exactly the guarantee this module
-derives statically: a maximal run of instructions with one entry
-(no branch target lands mid-run), one exit (no control transfer inside),
-and no amnesic opcode (``RCMP``/``REC``/``RTN`` touch Hist and the
-scheduler).  Within a run the only per-instruction hazards left are
-faults, so each region also carries its fault surface:
+A single-pc function of the ``fast-batched`` backend
+(``machine/fastpath.py``) retires one instruction per dispatch because
+every pc might branch, fault, or enter the amnesic machinery.  Batching
+straight-line regions into single dispatch units needs exactly the
+guarantee this module derives statically: a maximal run of
+instructions with one entry (no branch target lands mid-run), one exit
+(no control transfer inside), and no amnesic opcode
+(``RCMP``/``REC``/``RTN`` touch Hist and the scheduler).  Within a run
+the only per-instruction hazards left are faults, so each region also
+carries its fault surface:
 
 * ``pure`` regions contain no instruction that can fault (no memory
   access, no ``DIV``/``REM``/``FDIV``/``FSQRT``) — a backend may execute
@@ -19,8 +20,10 @@ faults, so each region also carries its fault surface:
 * ``faulting`` regions contain trapping compute — batchable only with
   per-instruction fault checks.
 
-The analysis is exported as a schema-versioned JSON artifact so the
-backend work can consume it without importing the analyzer.
+The backend re-derives the analysis from the binary it is about to
+run (:meth:`RegionReport.from_program`); ``repro lint --regions-out``
+also exports it as a schema-versioned JSON artifact for review and CI
+upload, which nothing reads back.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ import os
 import tempfile
 from typing import Dict, List, Optional
 
-from ..errors import ReproError
 from ..isa.opcodes import Opcode
 from ..isa.program import Program
 from .cfg import ControlFlowGraph, build_cfg
@@ -135,16 +137,6 @@ class RegionAnalysis:
         }
 
 
-class RegionArtifactMismatch(ReproError):
-    """A ``*.regions.json`` artifact disagrees with the fresh analysis.
-
-    Raised by consumers (the batched fast backend) when an artifact
-    passed as a cross-check describes different regions than the ones
-    re-derived from the program actually being executed — a stale
-    artifact must never silently steer batching decisions.
-    """
-
-
 @dataclasses.dataclass(frozen=True)
 class RegionReport:
     """The consumer-facing lookup view over one program's regions.
@@ -152,11 +144,8 @@ class RegionReport:
     This is the API the fast backend's batching pass reads at predecode
     time: ``batchable`` enumerates every run worth fusing (length >= 2)
     and ``region_at`` answers "does a batchable region start at this
-    pc?" in O(1).  The report can be built from a fresh analysis
-    (:meth:`from_program`) or rebuilt from a schema-versioned artifact
-    (:meth:`from_artifact`), and two reports can be held against each
-    other (:meth:`mismatches`) so artifacts act as a cross-check rather
-    than a second source of truth.
+    pc?" in O(1).  The backend always builds it from a fresh analysis
+    of the program it is about to run (:meth:`from_program`).
     """
 
     analysis: RegionAnalysis
@@ -175,40 +164,6 @@ class RegionReport:
     ) -> "RegionReport":
         return cls.from_analysis(analyze_regions(program, cfg=cfg))
 
-    @classmethod
-    def from_artifact(cls, payload: dict) -> "RegionReport":
-        """Rebuild a report from a ``*.regions.json`` payload.
-
-        Consumers must reject schema versions they do not understand —
-        a silently misread artifact would batch the wrong pcs.
-        """
-        schema = payload.get("schema")
-        version = payload.get("schema_version")
-        if schema != REGION_SCHEMA or version != REGION_SCHEMA_VERSION:
-            raise RegionArtifactMismatch(
-                f"unsupported region artifact schema {schema!r} "
-                f"v{version!r} (expected {REGION_SCHEMA} "
-                f"v{REGION_SCHEMA_VERSION})"
-            )
-        regions = [
-            Region(
-                start=int(item["start"]),
-                end=int(item["end"]),
-                kind=str(item["kind"]),
-                in_slice=bool(item["in_slice"]),
-                slice_id=item.get("slice_id"),
-                memory_ops=int(item["memory_ops"]),
-                faultable_ops=int(item["faultable_ops"]),
-            )
-            for item in payload["regions"]
-        ]
-        analysis = RegionAnalysis(
-            program=str(payload.get("program", "")),
-            instructions=int(payload["summary"]["instructions"]),
-            regions=regions,
-        )
-        return cls.from_analysis(analysis)
-
     @property
     def batchable(self) -> List[Region]:
         """Every fusable run, in program order."""
@@ -217,46 +172,6 @@ class RegionReport:
     def region_at(self, pc: int) -> Optional[Region]:
         """The batchable region *starting* at ``pc``, if any."""
         return self._by_start.get(pc)
-
-    def mismatches(self, other: "RegionReport") -> List[str]:
-        """Human-readable differences between two reports' region lists.
-
-        Compares the full (not just batchable) region tuples so a stale
-        artifact is caught even when the drift is in a singleton run.
-        """
-        problems: List[str] = []
-        if self.analysis.instructions != other.analysis.instructions:
-            problems.append(
-                f"instruction count {self.analysis.instructions} != "
-                f"{other.analysis.instructions}"
-            )
-        mine = {(r.start, r.end): r for r in self.analysis.regions}
-        theirs = {(r.start, r.end): r for r in other.analysis.regions}
-        for span in sorted(set(mine) | set(theirs)):
-            left, right = mine.get(span), theirs.get(span)
-            if left is None or right is None:
-                problems.append(
-                    f"region [{span[0]}, {span[1]}) present in "
-                    f"{'artifact' if left is None else 'analysis'} only"
-                )
-            elif left != right:
-                problems.append(
-                    f"region [{span[0]}, {span[1]}) differs: "
-                    f"{left.to_json()} != {right.to_json()}"
-                )
-        return problems
-
-
-def load_region_artifact(path: str) -> RegionReport:
-    """Load one ``*.regions.json`` artifact into a report."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError) as error:
-        raise RegionArtifactMismatch(
-            f"unreadable region artifact {path}: {error}"
-        ) from None
-    return RegionReport.from_artifact(payload)
 
 
 def _classify(program: Program, start: int, end: int) -> Region:

@@ -16,7 +16,6 @@ and the differential oracle catch them.
 """
 
 import dataclasses
-import json
 import pickle
 from pathlib import Path
 
@@ -40,11 +39,8 @@ from repro.fuzz import (
     materialize,
 )
 from repro.fuzz.corpus import corpus_paths
-from repro.isa import Opcode, ProgramBuilder
+from repro.isa import Category, Opcode, ProgramBuilder
 from repro.machine import CPU, BatchedFastCPU
-from repro.machine.fastpath import ENV_REGION_ARTIFACTS
-from repro.staticcheck import RegionArtifactMismatch, analyze_regions
-from repro.staticcheck.regions import write_region_artifact
 from repro.workloads import all_specs
 
 from ..conftest import tiny_config
@@ -259,9 +255,10 @@ def test_faulting_region_stays_per_pc():
     (classic, err), (batched, _) = run_both(b.build())
     assert isinstance(err, ArithmeticFault)
     assert_state_equal(classic, batched)
-    # DIV makes the run a faulting region: never fused, dispatched
-    # through the original per-pc closures.
+    # DIV makes the run a faulting region: never fused, each pc
+    # dispatched through its own generated single-pc function.
     assert fused_spans(batched) == []
+    assert thunked_pcs(batched) == []
 
 
 def test_repeated_runs_flush_clean():
@@ -288,37 +285,6 @@ def test_pickle_drops_the_batched_decode_cache():
 
 
 # ----------------------------------------------------------------------
-# Region artifact cross-check.
-# ----------------------------------------------------------------------
-
-
-def test_matching_region_artifact_is_accepted(tmp_path, monkeypatch):
-    program = hot_region_kernel(iterations=2)
-    write_region_artifact(str(tmp_path), analyze_regions(program))
-    monkeypatch.setenv(ENV_REGION_ARTIFACTS, str(tmp_path))
-    (classic, _), (batched, _) = run_both(program)
-    assert_state_equal(classic, batched)
-
-
-def test_stale_region_artifact_aborts_the_decode(tmp_path, monkeypatch):
-    program = hot_region_kernel(iterations=2)
-    path = Path(write_region_artifact(str(tmp_path), analyze_regions(program)))
-    payload = json.loads(path.read_text())
-    payload["regions"][0]["end"] -= 1  # stale span
-    path.write_text(json.dumps(payload))
-    monkeypatch.setenv(ENV_REGION_ARTIFACTS, str(tmp_path))
-    cpu = BatchedFastCPU(program, make_model())
-    with pytest.raises(RegionArtifactMismatch, match="disagrees"):
-        cpu.run()
-
-
-def test_absent_artifact_is_not_required(tmp_path, monkeypatch):
-    monkeypatch.setenv(ENV_REGION_ARTIFACTS, str(tmp_path))
-    (classic, _), (batched, _) = run_both(hot_region_kernel(iterations=2))
-    assert_state_equal(classic, batched)
-
-
-# ----------------------------------------------------------------------
 # The whole suite, classic vs batched.
 # ----------------------------------------------------------------------
 
@@ -333,17 +299,77 @@ def test_every_kernel_matches_classic(spec):
     assert_state_equal(classic, batched)
 
 
+def thunked_pcs(cpu):
+    """``(pc, opcode)`` of every dispatched pc left on the classic thunk.
+
+    Fused regions' interiors and slice bodies are skipped: they run on
+    thunks by design.  Everything else should be a generated function
+    (``_pc`` for a single pc, ``_region`` for a fused region start) —
+    except ``HALT`` (its own sentinel) and ``RCMP`` (always the classic
+    handler).
+    """
+    table = cpu._decoded_batched()
+    program = cpu.program
+    skip = set()
+    for start, end in table.region_spans:
+        skip.update(range(start + 1, end))
+    for region in program.slices.values():
+        skip.update(range(region.start, region.end))
+    return [
+        (pc, program.instructions[pc].opcode)
+        for pc, fn in enumerate(table.fns[:-1])
+        if pc not in skip
+        and fn.__name__ not in ("_pc", "_region")
+        and program.instructions[pc].opcode not in (Opcode.HALT, Opcode.RCMP)
+    ]
+
+
 def test_kernels_actually_fuse_regions():
     # Coverage smoke: the parity sweep above is vacuous for the batched
-    # paths unless the kernels' hot loops actually fuse.
-    fused = sum(
-        1
-        for spec in all_specs()
-        if fused_spans(BatchedFastCPU(spec.instantiate(0.25), make_model()))
-    )
+    # paths unless the kernels' hot loops actually fuse.  A pc that
+    # silently falls back to the classic thunk is exact too, so parity
+    # cannot see it either; only this check does.
+    fused = 0
+    for spec in all_specs():
+        cpu = BatchedFastCPU(spec.instantiate(0.25), make_model())
+        fused += bool(fused_spans(cpu))
+        assert thunked_pcs(cpu) == [], spec.name
     assert fused == len(all_specs()), (
         f"only {fused}/{len(all_specs())} kernels produced fused regions"
     )
+
+
+def test_compiled_binary_generates_rec():
+    from repro.core.backend import BACKENDS
+    from repro.core.policies import make_policy
+
+    _, _, binary, model = trivial_checkpoint_binary()
+    cpu = BACKENDS["fast-batched"].amnesic_cls(
+        binary, model, make_policy("Compiler")
+    )
+    fns = cpu._decoded_batched().fns
+    recs = [
+        pc
+        for pc, instruction in enumerate(binary.program.instructions)
+        if instruction.opcode is Opcode.REC
+    ]
+    assert recs, "the compiled binary records no checkpoint"
+    assert all(fns[pc].__name__ == "_pc" for pc in recs)
+    assert thunked_pcs(cpu) == []
+
+
+def test_thunk_check_catches_thunked_branches(monkeypatch):
+    # A decoder that leaves conditional branches on the thunk stays
+    # bit-identical (parity passes) but must fail the coverage check.
+    from repro.machine import fastpath
+
+    monkeypatch.setattr(fastpath, "_gen_branch", lambda *args: None)
+    program = hot_region_kernel(iterations=3)
+    (classic, _), (batched, _) = run_both(program)
+    assert_state_equal(classic, batched)
+    leftover = thunked_pcs(batched)
+    assert leftover
+    assert {opcode.category for _, opcode in leftover} == {Category.BRANCH}
 
 
 # ----------------------------------------------------------------------
