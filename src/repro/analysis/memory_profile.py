@@ -47,8 +47,7 @@ def swapped_load_profile(
     fired_slices = 0
     for rslice in compilation.rslices:
         # A slice participates if its RCMP recomputed at least once.
-        slice_fired = _slice_fired(amnesic_cpu, rslice.slice_id)
-        if not slice_fired:
+        if rslice.slice_id not in amnesic_cpu.fired_slice_ids:
             continue
         fired_slices += 1
         counts.update(profiler.per_load.get(rslice.load_pc, {}))
@@ -64,15 +63,6 @@ def swapped_load_profile(
         mem_percent=100.0 * counts.get(Level.MEM, 0) / total,
         swapped_slice_count=fired_slices,
     )
-
-
-def _slice_fired(amnesic_cpu, slice_id: int) -> bool:
-    """Did this slice recompute at least once during the run?"""
-    fired = getattr(amnesic_cpu, "fired_slice_ids", None)
-    if fired is not None:
-        return slice_id in fired
-    # Conservative fallback: treat every embedded slice as swapped.
-    return True
 
 
 def memory_profile_table(

@@ -17,8 +17,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Iterable, List
 
-from ..compiler.amnesic_pass import PassOptions, compile_amnesic
-from ..core.execution import PolicyComparison, run_amnesic, run_classic
+from ..compiler.amnesic_pass import PassOptions
+from ..core.execution import prepare_evaluation
 from ..energy.model import EnergyModel
 from ..isa.program import Program
 from ..machine.config import CacheGeometry, LevelParams, MachineConfig
@@ -44,14 +44,9 @@ def _measure(
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
 ) -> SweepPoint:
     """One sweep configuration, measured as a full policy comparison."""
-    compilation = compile_amnesic(program, model, options=options)
-    classic = run_classic(program, model, max_instructions=max_instructions)
-    amnesic = run_amnesic(
-        compilation, policy, model, max_instructions=max_instructions
-    )
-    comparison = PolicyComparison(
-        policy=policy, classic=classic, amnesic=amnesic, compilation=compilation
-    )
+    comparison = prepare_evaluation(
+        program, model, options, max_instructions=max_instructions
+    ).measure(policy)
     return SweepPoint(
         parameter=parameter,
         edp_gain_percent=comparison.edp_gain_percent,

@@ -7,9 +7,14 @@ This is the public surface most users want::
     print(result.edp_gain_percent)
 
 :func:`evaluate_policies` reproduces one column group of the paper's
-Figures 3-5: it profiles once, builds the probabilistic binary (shared
-by Compiler/FLC/LLC/C-Oracle) and the all-valid binary (Oracle), runs
-the classic baseline, and measures every requested policy against it.
+Figures 3-5.  It runs the unmodified program once, as the profiling run
+on the reference CPU; that run is also the classic baseline, as the
+paper's Pin profiler observes the classic execution (section 3.1.1).
+Off its profile it builds the probabilistic binary (shared by
+Compiler/FLC/LLC/C-Oracle) and the all-valid binary (Oracle), and
+measures every requested policy against the baseline.
+:meth:`EvaluationSetup.compilation_for` is the one place that decides
+which binary a policy runs.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Iterable, Optional
 
+from ..compiler import amnesic_pass
 from ..compiler.amnesic_pass import (
     SELECTION_ALL_VALID,
     SELECTION_PROBABILISTIC,
@@ -32,6 +38,7 @@ from ..isa.program import Program
 from ..machine.cpu import DEFAULT_MAX_INSTRUCTIONS, CPU
 from ..machine.stats import RunStats
 from ..telemetry.runtime import get_telemetry
+from ..trace.recorder import ProfileResult
 from .backend import resolve_backend
 from .policies import POLICY_NAMES, Policy, make_policy
 
@@ -165,36 +172,22 @@ def compare(
     backend: Optional[str] = None,
 ) -> PolicyComparison:
     """Compile *program* amnesically and compare against classic execution."""
-    model = model or paper_energy_model()
-    if policy == "Oracle":
-        options = _oracle_options(options)
-    compilation = compile_amnesic(program, model, options=options)
-    classic = run_classic(
-        program, model, max_instructions=max_instructions, backend=backend
-    )
-    amnesic = run_amnesic(
-        compilation,
-        policy,
-        model,
-        max_instructions=max_instructions,
-        verify=verify,
-        backend=backend,
-    )
-    return PolicyComparison(
-        policy=policy, classic=classic, amnesic=amnesic, compilation=compilation
-    )
+    return prepare_evaluation(
+        program, model, options, max_instructions, verify, backend
+    ).measure(policy)
 
 
 @dataclasses.dataclass
 class EvaluationSetup:
     """The compile-once/run-many half of a policy evaluation.
 
-    Splitting :func:`evaluate_policies` into *prepare* (classic baseline
-    + compiled binaries) and *measure* (one amnesic run per policy)
-    gives the parallel engine a work unit that survives pickling: every
-    field is plain data, so a worker process can prepare a setup once
-    and measure any number of policies against it — or the whole setup
-    can cross a process boundary inside a result envelope.
+    Splitting :func:`evaluate_policies` into *prepare* (the profiling
+    run, which doubles as the classic baseline, plus the compiled
+    binaries) and *measure* (one amnesic run per policy) gives the
+    parallel engine a work unit that survives pickling: every field is
+    plain data, so a worker process can prepare a setup once and measure
+    any number of policies against it — or the whole setup can cross a
+    process boundary inside a result envelope.
     """
 
     program: Program
@@ -202,29 +195,44 @@ class EvaluationSetup:
     options: PassOptions
     max_instructions: int
     verify: bool
-    classic: ExecutionOutcome
-    probabilistic: CompilationResult
-    all_valid: Optional[CompilationResult] = None
+    #: The recorded classic execution every binary is compiled from.
+    profile: ProfileResult
     #: Backend name (plain data, so the setup still pickles); None means
     #: "resolve from the environment at measure time".
     backend: Optional[str] = None
+    probabilistic: Optional[CompilationResult] = None
+    all_valid: Optional[CompilationResult] = None
+    #: The classic baseline: the profiling run itself, on the reference
+    #: CPU (its stats, energy account and final state are exactly a
+    #: plain classic run's).
+    classic: ExecutionOutcome = dataclasses.field(init=False)
+
+    def __post_init__(self) -> None:
+        cpu = self.profile.cpu
+        self.classic = ExecutionOutcome(
+            label="classic", stats=self.profile.stats, account=cpu.account, cpu=cpu
+        )
 
     def compilation_for(self, policy: str) -> CompilationResult:
         """The binary a policy runs: all-valid for Oracle, else shared.
 
-        The Oracle binary is compiled lazily (reusing the probabilistic
-        run's profile) the first time an Oracle measurement asks for it.
+        Each binary is compiled off the shared profile the first time a
+        policy asks for it.
         """
-        if policy != "Oracle":
-            return self.probabilistic
-        if self.all_valid is None:
-            self.all_valid = compile_amnesic(
-                self.program,
-                self.model,
-                profile=self.probabilistic.profile,
-                options=_oracle_options(self.options),
+        if policy == "Oracle":
+            if self.all_valid is None:
+                self.all_valid = self._compile(_oracle_options(self.options))
+            return self.all_valid
+        if self.probabilistic is None:
+            self.probabilistic = self._compile(
+                dataclasses.replace(self.options, selection=SELECTION_PROBABILISTIC)
             )
-        return self.all_valid
+        return self.probabilistic
+
+    def _compile(self, options: PassOptions) -> CompilationResult:
+        return compile_amnesic(
+            self.program, self.model, profile=self.profile, options=options
+        )
 
     def measure(self, policy: str) -> PolicyComparison:
         """Run one policy against the prepared classic baseline."""
@@ -252,26 +260,21 @@ def prepare_evaluation(
     verify: bool = True,
     backend: Optional[str] = None,
 ) -> EvaluationSetup:
-    """Profile, compile, and run the classic baseline once."""
+    """Profile once (the classic baseline) and compile the shared binary."""
     model = model or paper_energy_model()
-    classic = run_classic(
-        program, model, max_instructions=max_instructions, backend=backend
-    )
-    probabilistic = compile_amnesic(
-        program,
-        model,
-        options=dataclasses.replace(options, selection=SELECTION_PROBABILISTIC),
-    )
-    return EvaluationSetup(
+    setup = EvaluationSetup(
         program=program,
         model=model,
         options=options,
         max_instructions=max_instructions,
         verify=verify,
-        classic=classic,
-        probabilistic=probabilistic,
+        # Looked up on the compiler pass, as compile_amnesic does, so
+        # anything wrapping that entry point sees every profiling run.
+        profile=amnesic_pass.profile_program(program, model, max_instructions),
         backend=backend,
     )
+    setup.compilation_for("Compiler")  # the binary all but Oracle share
+    return setup
 
 
 def evaluate_policies(
@@ -285,10 +288,10 @@ def evaluate_policies(
 ) -> Dict[str, PolicyComparison]:
     """Measure every policy against the same classic baseline.
 
-    Profiling runs once; the probabilistic binary is shared by the
-    Compiler/FLC/LLC/C-Oracle configurations and the all-valid binary
-    serves Oracle — mirroring the paper's section 5.1 experimental
-    setup.
+    Profiling runs once and is the baseline; the probabilistic binary
+    is shared by the Compiler/FLC/LLC/C-Oracle configurations and the
+    all-valid binary serves Oracle — mirroring the paper's section 5.1
+    experimental setup.
     """
     telemetry = get_telemetry()
     policies = tuple(policies)

@@ -1,7 +1,10 @@
 """The differential oracle: amnesic execution must be invisible.
 
-For one spec the oracle runs the classic interpreter, compiles the
-program through the full profile→amnesic-compile pipeline, executes the
+For one spec the oracle profiles the program on the reference
+interpreter — that run is the classic baseline, whichever backend the
+environment selects — compiles it off that profile (through
+:meth:`~repro.core.execution.EvaluationSetup.compilation_for`, the same
+rule that picks each policy's binary everywhere else), executes the
 binary under every requested scheduler policy with inline verification
 *off* (so a scheduler bug surfaces as divergent architectural state, the
 way it would in production), and checks three families of invariants:
@@ -21,9 +24,10 @@ way it would in production), and checks three families of invariants:
   selected slice respects its budget
   (``selection_cost < estimated_load_cost``).
 
-A spec whose *classic* run faults is reported as **invalid** rather
-than failing: the generator occasionally draws programs that exceed the
-instruction budget, and those say nothing about amnesic execution.
+A spec whose classic (profiling) run faults is reported as **invalid**
+rather than failing: the generator occasionally draws programs that
+exceed the instruction budget, and those say nothing about amnesic
+execution.
 """
 
 from __future__ import annotations
@@ -31,14 +35,9 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Sequence, Tuple, Type
 
-from ..compiler.amnesic_pass import (
-    SELECTION_PROBABILISTIC,
-    CompilationResult,
-    PassOptions,
-    compile_amnesic,
-)
+from ..compiler.amnesic_pass import CompilationResult, PassOptions
 from ..core.amnesic_cpu import AmnesicCPU
-from ..core.execution import _oracle_options, run_classic
+from ..core.execution import EvaluationSetup, prepare_evaluation
 from ..core.policies import POLICY_NAMES, make_policy
 from ..energy import EnergyModel, EPITable
 from ..energy.account import GROUP_AMNESIC, GROUP_HIST
@@ -50,6 +49,7 @@ from ..machine.config import (
     PAPER_L2_PARAMS,
     PAPER_MEM_PARAMS,
 )
+from ..trace.recorder import profile_program
 from .spec import ProgramSpec, materialize
 
 #: Generated programs are small loops; anything beyond this is a hang.
@@ -172,50 +172,43 @@ def check_program(
     )
     fail = verdict.failures.append
 
-    # Classic baseline.  A fault here is the spec's problem, not the
-    # pipeline's.
+    # The profiling run on the reference CPU is the classic baseline.  A
+    # fault here is the spec's problem, not the pipeline's.
     try:
-        classic = run_classic(program, model, max_instructions=max_instructions)
+        profile = profile_program(program, model, max_instructions)
     except ReproError as error:
         verdict.invalid = True
         verdict.invalid_reason = f"classic: {error}"
         return verdict
+    setup = EvaluationSetup(
+        program=program,
+        model=model,
+        options=options,
+        max_instructions=max_instructions,
+        verify=False,
+        profile=profile,
+    )
+    classic = setup.classic
     _check_account(verdict, "classic", classic.account, classic_run=True)
     classic_registers = list(classic.cpu.registers)
     classic_memory = classic.cpu.memory.snapshot()
 
-    # Compile once; the probabilistic binary serves every policy but
-    # Oracle, which gets the all-valid binary off the shared profile.
+    # The probabilistic binary serves every policy but Oracle, which
+    # gets the all-valid binary off the same profile.
     try:
-        probabilistic = compile_amnesic(
-            program,
-            model,
-            options=dataclasses.replace(
-                options, selection=SELECTION_PROBABILISTIC
-            ),
-        )
+        probabilistic = setup.compilation_for("Compiler")
     except ReproError as error:
         fail(OracleFailure("*", "compile", f"probabilistic compile: {error}"))
         return verdict
     verdict.slice_count = len(probabilistic.rslices)
     _check_budget(verdict, probabilistic)
 
-    all_valid: Optional[CompilationResult] = None
-    if "Oracle" in policies:
-        try:
-            all_valid = compile_amnesic(
-                program,
-                model,
-                profile=probabilistic.profile,
-                options=_oracle_options(options),
-            )
-        except ReproError as error:
-            fail(OracleFailure("Oracle", "compile", f"all-valid compile: {error}"))
-
     for policy_name in policies:
-        compilation = all_valid if policy_name == "Oracle" else probabilistic
-        if compilation is None:
-            continue  # the Oracle compile already failed above
+        try:
+            compilation = setup.compilation_for(policy_name)
+        except ReproError as error:
+            fail(OracleFailure(policy_name, "compile", f"all-valid compile: {error}"))
+            continue
         cpu = cpu_cls(
             compilation.binary,
             model,
@@ -535,30 +528,19 @@ def check_backend_equivalence(
 
     # The amnesic pairs, one per policy, over the shared binaries.
     try:
-        probabilistic = compile_amnesic(
-            program,
-            model,
-            options=PassOptions(selection=SELECTION_PROBABILISTIC),
+        setup = prepare_evaluation(
+            program, model, max_instructions=max_instructions, verify=False
         )
     except ReproError as error:
         fail(OracleFailure("*", "compile", f"probabilistic compile: {error}"))
         return verdict
-    verdict.slice_count = len(probabilistic.rslices)
-    all_valid: Optional[CompilationResult] = None
-    if "Oracle" in policies:
-        try:
-            all_valid = compile_amnesic(
-                program,
-                model,
-                profile=probabilistic.profile,
-                options=_oracle_options(PassOptions()),
-            )
-        except ReproError as error:
-            fail(OracleFailure("Oracle", "compile", f"all-valid compile: {error}"))
+    verdict.slice_count = len(setup.probabilistic.rslices)
 
     for policy_name in policies:
-        compilation = all_valid if policy_name == "Oracle" else probabilistic
-        if compilation is None:
+        try:
+            compilation = setup.compilation_for(policy_name)
+        except ReproError as error:
+            fail(OracleFailure(policy_name, "compile", f"all-valid compile: {error}"))
             continue
         pair = run_both(
             policy_name,

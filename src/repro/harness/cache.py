@@ -2,12 +2,13 @@
 
 A :class:`ResultCache` maps a fully-descriptive evaluation key —
 benchmark, scale, policy tuple, energy-model fingerprint
-(:meth:`repro.energy.model.EnergyModel.fingerprint`), and instruction
-budget — to the pickled ``{policy: PolicyComparison}`` dict that run
-produced.  Because the key captures everything the evaluation depends
-on *by value*, a warm cache directory lets repeat ``repro`` runs, the
-benchmark harness, and CI skip already-evaluated combinations entirely
-while still serving bitwise-identical experiment tables.
+(:meth:`repro.energy.model.EnergyModel.fingerprint`), instruction
+budget and execution backend — to the pickled
+``{policy: PolicyComparison}`` dict that run produced.  Because the key
+captures everything the evaluation depends on *by value*, a warm cache
+directory lets repeat ``repro`` runs, the benchmark harness, and CI skip
+already-evaluated combinations entirely while still serving
+bitwise-identical experiment tables.
 
 Entries are one zlib-compressed pickle per key under the cache
 directory; writes go through a temporary file plus :func:`os.replace`
@@ -66,14 +67,8 @@ class ResultKey:
             "policies": list(self.policies),
             "model": self.model_fingerprint,
             "max_instructions": self.max_instructions,
+            "backend": self.backend,
         }
-        if self.backend != "classic":
-            # Omitted for the reference backend so entries cached before
-            # backends existed keep serving classic evaluations; any
-            # other backend gets its own namespace (and therefore always
-            # runs cold the first time, which is what the bench
-            # comparison wants).
-            payload["backend"] = self.backend
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

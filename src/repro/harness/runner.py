@@ -42,8 +42,6 @@ from ..workloads.suite import RESPONSIVE, all_specs, get
 from .cache import ResultCache, ResultKey
 from .parallel import WorkUnit, default_jobs, evaluate_many
 
-CacheKey = ResultKey
-
 
 class SuiteRunner:
     """Runs suite benchmarks under all policies, caching results.
@@ -79,7 +77,7 @@ class SuiteRunner:
         self.result_cache = ResultCache(cache_dir) if cache_dir else None
         #: Cross-run manifest store (``--ledger-dir``); off by default.
         self.ledger = RunLedger(ledger_dir) if ledger_dir else None
-        self._cache: Dict[CacheKey, Dict[str, PolicyComparison]] = {}
+        self._cache: Dict[ResultKey, Dict[str, PolicyComparison]] = {}
         self._programs: Dict[Tuple[str, float], Program] = {}
 
     @classmethod
@@ -93,7 +91,7 @@ class SuiteRunner:
     # ------------------------------------------------------------------
     # Keys and lookups.
     # ------------------------------------------------------------------
-    def _key(self, benchmark: str) -> CacheKey:
+    def _key(self, benchmark: str) -> ResultKey:
         return ResultKey(
             benchmark=benchmark,
             scale=self.scale,
@@ -103,7 +101,7 @@ class SuiteRunner:
             backend=self.backend,
         )
 
-    def _lookup(self, key: CacheKey) -> Optional[Dict[str, PolicyComparison]]:
+    def _lookup(self, key: ResultKey) -> Optional[Dict[str, PolicyComparison]]:
         """Memory first, then disk; promotes disk hits into memory."""
         if key in self._cache:
             get_telemetry().counter("suite.cache", result="hit").inc()
@@ -115,7 +113,7 @@ class SuiteRunner:
                 return stored
         return None
 
-    def _store(self, key: CacheKey, comparisons: Dict[str, PolicyComparison]) -> None:
+    def _store(self, key: ResultKey, comparisons: Dict[str, PolicyComparison]) -> None:
         self._cache[key] = comparisons
         if self.result_cache is not None:
             self.result_cache.put(key, comparisons)

@@ -1,7 +1,11 @@
 """Top-level execution API."""
 
 from repro.core import POLICY_NAMES, compare, evaluate_policies, run_classic
+from repro.core.amnesic_cpu import AmnesicCPU
+from repro.core.execution import prepare_evaluation
 from repro.energy import EPITable, EnergyModel
+from repro.machine.cpu import CPU
+from repro.trace import recorder
 
 from ..conftest import build_spill_kernel, tiny_config
 
@@ -36,6 +40,31 @@ def test_oracle_uses_different_binary():
     flc_binary = results["FLC"].compilation
     assert oracle_binary is not flc_binary
     assert results["FLC"].compilation is results["Compiler"].compilation
+
+
+def test_evaluation_runs_the_unmodified_program_once(monkeypatch):
+    classic_runs = []
+    original = CPU.run
+
+    def counting_run(cpu):
+        if not isinstance(cpu, AmnesicCPU):
+            classic_runs.append(type(cpu))
+        return original(cpu)
+
+    monkeypatch.setattr(CPU, "run", counting_run)
+    program = build_spill_kernel(iterations=10, chain=3, gap=6)
+    results = evaluate_policies(program, model=make_model(), backend="fast-batched")
+    # The profiling run is the baseline, on the reference CPU whatever
+    # backend runs the amnesic binaries.
+    assert classic_runs == [CPU]
+    assert results["FLC"].classic.cpu is results["FLC"].compilation.profile.cpu
+
+
+def test_prepare_evaluation_profiles_under_the_callers_budget(monkeypatch):
+    program = build_spill_kernel(iterations=10, chain=3, gap=6)
+    monkeypatch.setattr(recorder, "DEFAULT_MAX_INSTRUCTIONS", 10)
+    setup = prepare_evaluation(program, make_model(), max_instructions=100_000)
+    assert setup.classic.stats.dynamic_instructions > 10
 
 
 def test_run_classic_label():

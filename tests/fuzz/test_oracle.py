@@ -4,6 +4,8 @@ import dataclasses
 
 import pytest
 
+from repro.core.backend import BACKENDS, ENV_BACKEND, Backend, BatchedFastAmnesicCPU
+from repro.core.execution import run_classic
 from repro.core.policies import POLICY_NAMES
 from repro.fuzz import (
     EagerFireCPU,
@@ -16,7 +18,8 @@ from repro.fuzz import (
     default_fuzz_model,
     random_spec,
 )
-from repro.fuzz.spec import Gap
+from repro.fuzz.spec import Gap, materialize
+from repro.machine.cpu import CPU
 
 
 @pytest.fixture(scope="module")
@@ -119,5 +122,36 @@ def test_eager_fire_bug_surfaces_as_failure_not_crash(model):
 
 def test_clean_cpu_on_the_same_specs_stays_clean(model):
     """The bug tests above prove detection; this proves specificity."""
+    verdict = check_spec(hist_leaf_spec(), model=model)
+    assert verdict.ok, verdict.summary()
+
+
+class _CorruptingCPU(CPU):
+    """A classic CPU that overwrites one memory word as it finalizes."""
+
+    def finalize(self) -> None:
+        super().finalize()
+        memory = self.memory
+        address = min(a for a in memory.snapshot() if not memory.is_read_only(a))
+        memory.write(address, memory.read(address) + 1)
+
+
+def test_classic_baseline_ignores_the_selected_backend(model, monkeypatch):
+    """The baseline is the profiling run on the plain interpreter.
+
+    A wrong classic CPU registered under the environment's backend must
+    not reach the oracle: compared against it, every correct amnesic
+    run would report an equivalence failure.
+    """
+    monkeypatch.setitem(
+        BACKENDS,
+        "fast-batched",
+        Backend("fast-batched", _CorruptingCPU, BatchedFastAmnesicCPU),
+    )
+    monkeypatch.setenv(ENV_BACKEND, "fast-batched")
+    program = materialize(hist_leaf_spec())
+    selected = run_classic(program, model).cpu.memory
+    reference = run_classic(program, model, backend="classic").cpu.memory
+    assert selected.snapshot() != reference.snapshot()
     verdict = check_spec(hist_leaf_spec(), model=model)
     assert verdict.ok, verdict.summary()

@@ -341,10 +341,8 @@ def test_result_key_digest_tracks_model_fingerprint():
 
 
 def test_result_key_digest_is_backend_namespaced():
-    # "classic" must hash identically to a pre-backend key (same JSON
-    # payload), so warm caches from before the backend field existed
-    # keep serving classic results; any other backend gets its own
-    # namespace and therefore always runs cold the first time.
+    # Every backend, the classic default included, is hashed: each gets
+    # its own namespace, so a backend always runs cold the first time.
     base = make_key()
     assert base.backend == "classic"
     assert base.digest() == dataclasses.replace(base, backend="classic").digest()
