@@ -39,7 +39,7 @@ from ..telemetry.ledger import LEDGER_ENV_VAR, RunLedger, RunManifest
 from ..telemetry.runtime import get_telemetry
 from ..workloads.base import SCALE_SMALL, WorkloadSpec
 from ..workloads.suite import RESPONSIVE, all_specs, get
-from .cache import ResultCache, ResultKey
+from .cache import ResultCache, ResultKey, program_digest
 from .parallel import WorkUnit, default_jobs, evaluate_many
 
 
@@ -79,6 +79,7 @@ class SuiteRunner:
         self.ledger = RunLedger(ledger_dir) if ledger_dir else None
         self._cache: Dict[ResultKey, Dict[str, PolicyComparison]] = {}
         self._programs: Dict[Tuple[str, float], Program] = {}
+        self._program_digests: Dict[Tuple[str, float], str] = {}
 
     @classmethod
     def from_env(cls, **overrides) -> "SuiteRunner":
@@ -92,6 +93,9 @@ class SuiteRunner:
     # Keys and lookups.
     # ------------------------------------------------------------------
     def _key(self, benchmark: str) -> ResultKey:
+        slot = (benchmark, self.scale)
+        if slot not in self._program_digests:
+            self._program_digests[slot] = program_digest(self.program(benchmark))
         return ResultKey(
             benchmark=benchmark,
             scale=self.scale,
@@ -99,6 +103,7 @@ class SuiteRunner:
             model_fingerprint=self.model.fingerprint(),
             max_instructions=self.max_instructions,
             backend=self.backend,
+            program=self._program_digests[slot],
         )
 
     def _lookup(self, key: ResultKey) -> Optional[Dict[str, PolicyComparison]]:
