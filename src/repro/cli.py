@@ -48,6 +48,7 @@ import argparse
 import contextlib
 import json
 import os
+import pathlib
 import sys
 import time
 from typing import List, Optional
@@ -68,6 +69,10 @@ from .telemetry.drift import (
 from .telemetry.runtime import get_telemetry, telemetry_session
 from .telemetry.summary import render_metrics, render_summary
 from .workloads.suite import REGISTRY, get
+
+#: The committed fuzz corpus, found from this file rather than from the
+#: working directory (``src/repro/cli.py`` -> ``tests/corpus``).
+COMMITTED_CORPUS_DIR = pathlib.Path(__file__).resolve().parents[2] / "tests" / "corpus"
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -501,8 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload scale factor for kernel compilation",
     )
     lint_cmd.add_argument(
-        "--corpus-dir", metavar="DIR", default="tests/corpus",
-        help="fuzz-corpus directory to sweep (default: tests/corpus)",
+        "--corpus-dir", metavar="DIR", default=str(COMMITTED_CORPUS_DIR),
+        help="fuzz-corpus directory to sweep (default: the checkout's "
+             "tests/corpus, wherever the command runs from)",
     )
     lint_cmd.add_argument(
         "--no-kernels", action="store_true",
@@ -525,11 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--prove-rules", action="store_true",
         help="run the deliberately broken compiler passes; each must be "
              "flagged with its expected rule id",
-    )
-    lint_cmd.add_argument(
-        "--regions-out", metavar="DIR", default=None,
-        help="write schema-versioned region artifacts here (one JSON "
-             "per program)",
     )
     lint_cmd.add_argument(
         "--max-findings", type=int, default=0, metavar="N",
@@ -1264,7 +1265,6 @@ def cmd_lint(args) -> int:
         cross_check=args.cross_check,
         prove_rules=args.prove_rules and corpus_dir is not None,
         self_check=True,
-        regions_out=args.regions_out,
     )
     text = args.format == "text"
     try:

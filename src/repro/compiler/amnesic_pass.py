@@ -41,7 +41,7 @@ from .producers import (
     DEFAULT_MAX_SAMPLES,
     TemplateExtractor,
 )
-from .rslice import RSlice
+from .rslice import RSlice, TemplateNode
 
 SELECTION_PROBABILISTIC = "probabilistic"
 SELECTION_ALL_VALID = "all_valid"
@@ -94,18 +94,97 @@ class CompilationResult:
         return None
 
 
+class CompileInputs:
+    """The work both compiles of one profile share.
+
+    The probabilistic and the Oracle compile differ only in selection
+    and formation; the cost context, the full producer templates (with
+    the loads rejected before formation) and their liveness facts are
+    the same in both.  The first :meth:`prepare` computes them; a later
+    one must name the same program, profile, model and shared options.
+    An instance pickles empty and is recomputed on demand.
+    """
+
+    def __init__(self) -> None:
+        self._sources: Optional[tuple] = None
+        self.rejected: Dict[int, str] = {}
+        self.templates: Dict[int, TemplateNode] = {}
+
+    def __reduce__(self):
+        return (CompileInputs, ())
+
+    def prepare(
+        self,
+        program: Program,
+        model: EnergyModel,
+        profile: ProfileResult,
+        options: PassOptions,
+    ) -> "CompileInputs":
+        basis = (
+            model.fingerprint(), options.max_height, options.max_nodes,
+            options.max_samples, options.min_instances, options.estimation,
+        )
+        if self._sources is not None:
+            same_run = self._sources[0] is program and self._sources[1] is profile
+            if not same_run or self._sources[2] != basis:
+                raise ValueError(
+                    "compile inputs were prepared for another program, "
+                    "profile or option set"
+                )
+            return self
+        self._sources = (program, profile, basis)
+        telemetry = get_telemetry()
+        tracker = profile.dependence
+        self.context = CostContext.from_trace(
+            model, profile.loads, tracker, estimation=options.estimation
+        )
+        extractor = TemplateExtractor(
+            tracker,
+            max_height=options.max_height,
+            max_nodes=options.max_nodes,
+            max_samples=options.max_samples,
+        )
+        # Candidate selection: which static loads have a stable,
+        # sufficiently hot producer template worth slicing.
+        with telemetry.span("compile.candidates") as candidates_span:
+            for load_pc in program.static_loads():
+                count = profile.loads.load_count(load_pc)
+                if count < options.min_instances:
+                    self.rejected[load_pc] = (
+                        f"only {count} dynamic instance(s) observed "
+                        f"(minimum {options.min_instances})"
+                    )
+                    continue
+                template = extractor.extract(load_pc)
+                if template is None:
+                    self.rejected[load_pc] = "no stable producer template"
+                    continue
+                self.templates[load_pc] = template.tree
+            candidates_span.set(
+                candidates=len(self.templates), rejected=len(self.rejected)
+            )
+        # First replay: liveness of every severable operand, so
+        # formation can price live leaf inputs as free.
+        with telemetry.span("compile.liveness"):
+            self.liveness = collect_liveness(self.templates, tracker)
+        return self
+
+
 def compile_amnesic(
     program: Program,
     model: EnergyModel,
     profile: Optional[ProfileResult] = None,
     options: PassOptions = PassOptions(),
+    inputs: Optional[CompileInputs] = None,
 ) -> CompilationResult:
     """Run the full amnesic pass over *program*.
 
     *profile* may be supplied to reuse an existing profiling run (e.g.
     when compiling the same program under several option sets);
     otherwise one is recorded on the reference CPU, so the compiled
-    binary never depends on the execution backend.
+    binary never depends on the execution backend.  *inputs* shares the
+    selection-independent work between compiles of the same profile
+    (see :class:`CompileInputs`).
     """
     telemetry = get_telemetry()
     with telemetry.span(
@@ -117,55 +196,27 @@ def compile_amnesic(
         if profile is None:
             profile = profile_program(program, model)
         tracker = profile.dependence
-        context = CostContext.from_trace(
-            model, profile.loads, tracker, estimation=options.estimation
+        inputs = (inputs or CompileInputs()).prepare(
+            program, model, profile, options
         )
-        extractor = TemplateExtractor(
-            tracker,
-            max_height=options.max_height,
-            max_nodes=options.max_nodes,
-            max_samples=options.max_samples,
-        )
+        context = inputs.context
+        rejected = dict(inputs.rejected)
 
-        # Candidate selection: which static loads have a stable,
-        # sufficiently hot producer template worth slicing.
-        rejected: Dict[int, str] = {}
-        full_templates = {}
-        with telemetry.span("compile.candidates") as candidates_span:
-            for load_pc in program.static_loads():
-                count = profile.loads.load_count(load_pc)
-                if count < options.min_instances:
-                    rejected[load_pc] = (
-                        f"only {count} dynamic instance(s) observed "
-                        f"(minimum {options.min_instances})"
-                    )
-                    continue
-                template = extractor.extract(load_pc)
-                if template is None:
-                    rejected[load_pc] = "no stable producer template"
-                    continue
-                full_templates[load_pc] = template.tree
-            candidates_span.set(
-                candidates=len(full_templates), rejected=len(rejected)
-            )
-
-        # Slice formation.  First trace scan: liveness of every severable
-        # operand, so formation can price live leaf inputs as free.
+        # Slice formation over the full templates.
         with telemetry.span("compile.formation") as formation_span:
-            liveness = collect_liveness(full_templates, tracker)
             candidates = {}
-            for load_pc, tree in full_templates.items():
+            for load_pc, tree in inputs.templates.items():
                 formed = form_slice_tree(
                     tree,
                     context,
                     load_pc,
-                    liveness=liveness,
+                    liveness=inputs.liveness,
                     mode=options.formation,
                 )
                 candidates[load_pc] = formed.tree
             formation_span.set(formed=len(candidates))
 
-        # Leaf classification.  Second trace scan: classify the final cut
+        # Leaf classification.  Second replay: classify the final cut
         # trees and validate the recomputation-equals-load invariant on
         # every dynamic instance.
         with telemetry.span("compile.classify"):

@@ -97,19 +97,24 @@ def analyse_dead_stores(
         if previous is not None and not previous[1]:
             never_read[previous[0]] = never_read.get(previous[0], 0) + 1
 
-    for record in tracker.records:
-        if record.opcode is Opcode.ST and record.address is not None:
-            retire(record.address)
-            owner[record.address] = (record.pc, False)
-            consumers.setdefault(record.pc, set())
-            instance_counts[record.pc] = instance_counts.get(record.pc, 0) + 1
-            never_read.setdefault(record.pc, 0)
-        elif record.opcode is Opcode.LD and record.address is not None:
-            current = owner.get(record.address)
+    pcs = tracker.pcs
+    addresses = tracker.addresses
+    opcodes = tracker.tables.opcodes
+    for index in tracker.dataflow().memory_ops:
+        pc = pcs[index]
+        address = addresses[index]
+        if opcodes[pc] is Opcode.ST:
+            retire(address)
+            owner[address] = (pc, False)
+            consumers.setdefault(pc, set())
+            instance_counts[pc] = instance_counts.get(pc, 0) + 1
+            never_read.setdefault(pc, 0)
+        else:
+            current = owner.get(address)
             if current is not None:
                 store_pc, _ = current
-                owner[record.address] = (store_pc, True)
-                consumers[store_pc].add(record.pc)
+                owner[address] = (store_pc, True)
+                consumers[store_pc].add(pc)
     for address in list(owner):
         retire(address)
 

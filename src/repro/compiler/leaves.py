@@ -1,6 +1,6 @@
 """Leaf-input classification and replay validation of slice templates.
 
-Two jobs, done in a single scan over the profiled trace:
+Two jobs, done in one replay of every candidate load instance:
 
 1. **Liveness classification** (paper section 2.2).  A leaf's register
    input is *live* if, at every observed RCMP point, the architectural
@@ -13,10 +13,11 @@ Two jobs, done in a single scan over the profiled trace:
    table keeps one entry per leaf holding the operands of the leaf's
    *latest* execution, so recomputation is correct only for loads whose
    value equals the template evaluated over those latest operands.  We
-   simulate exactly those semantics over the trace: maintain per-pc latest
-   operand values and the architectural register file, evaluate each
-   candidate template at each dynamic load instance, and reject any
-   candidate with a single mismatch.  (Instances where a checkpoint does
+   simulate exactly those semantics over the profile: at each dynamic
+   load instance, read each pc's latest operand values and the
+   architectural register file off the profile's derived dataflow,
+   evaluate the candidate template, and reject any candidate with a
+   single mismatch.  (Instances where a checkpoint does
    not exist yet are fine: the runtime scheduler falls back to the plain
    load in that case, paper section 3.5.)
 
@@ -33,7 +34,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from ..errors import ReproError
 from ..isa.opcodes import Opcode
 from ..isa.semantics import evaluate
-from ..trace.dependence import SRC_IMM, DependenceTracker
+from ..trace.dependence import DependenceTracker, last_before
 from .rslice import LeafInputKind, TemplateNode
 
 Value = Union[int, float]
@@ -51,11 +52,6 @@ class ValidationReport:
     missing_checkpoints: int = 0
     checkpoint_load_pcs: Tuple[int, ...] = ()
 
-    @property
-    def always_recomputable(self) -> bool:
-        """True when every observed instance could have been recomputed."""
-        return self.valid and self.missing_checkpoints == 0
-
 
 class _MissingCheckpoint(ReproError):
     """The template references a leaf that has not executed yet."""
@@ -68,7 +64,7 @@ _MISSING = object()
 def classify_and_validate(
     candidates: Dict[int, TemplateNode], tracker: DependenceTracker
 ) -> Dict[int, ValidationReport]:
-    """Classify leaf inputs and validate *candidates* in one trace scan.
+    """Classify leaf inputs and validate *candidates* in one replay.
 
     ``candidates`` maps a static load pc to its formed template tree.
     Leaf-input kinds are updated **in place** (HIST relaxed to LIVE_REG
@@ -122,7 +118,15 @@ def collect_liveness(
 
 
 class _ReplayScanner:
-    """One-pass replay of Hist/liveness semantics over the trace."""
+    """Replay of Hist/liveness semantics at every candidate load instance.
+
+    The state the hardware would see when dynamic load *i* runs — the
+    architectural registers, each pc's latest operands and each load's
+    latest value — is read off the profile's derived dataflow as "the
+    last write or execution before *i*".  Every verdict is per load pc,
+    so each candidate's instances are replayed on their own, in
+    execution order.
+    """
 
     def __init__(
         self,
@@ -133,9 +137,12 @@ class _ReplayScanner:
         self.candidates = candidates
         self.tracker = tracker
         self.collect_only = collect_only
-        self.regfile: Dict[int, Value] = {}
-        self.latest_src_ops: Dict[int, Tuple[Value, ...]] = {}
-        self.latest_load_value: Dict[int, Value] = {}
+        self.flow = tracker.dataflow()
+        self.tables = tracker.tables
+        #: The dynamic instance being replayed, and the latest operands
+        #: of each pc as of that instance (memoised per instance).
+        self._now = 0
+        self._latest_ops: Dict[int, Optional[Tuple[Value, ...]]] = {}
         # (load_pc, producer_pc, position) -> still-live flag.  Keyed by
         # static pc, so duplicated nodes (diamond dataflow) share flags.
         self.live_ok: Dict[Tuple[int, int, int], bool] = {}
@@ -168,36 +175,56 @@ class _ReplayScanner:
     # The scan.
     # ------------------------------------------------------------------
     def run(self) -> Dict[int, ValidationReport]:
-        for record in self.tracker.records:
-            if record.is_load and record.pc in self.candidates:
-                self._check_instance(record)
-            self._update_state(record)
+        for load_pc in self.candidates:
+            report = self.reports[load_pc]
+            for index in self.flow.executions(load_pc):
+                if not (self.collect_only or report.valid):
+                    break
+                self._now = index
+                self._latest_ops = {}
+                self._check_instance(load_pc, index)
         self._finalise_kinds()
         return self.reports
 
-    def _update_state(self, record) -> None:
-        opcode = record.opcode
-        if opcode.is_compute and record.dest_reg is not None:
-            self.latest_src_ops[record.pc] = tuple(
-                descriptor[1] if descriptor[0] == SRC_IMM else descriptor[3]
-                for descriptor in record.srcs
-            )
-            self.regfile[record.dest_reg] = record.result
-        elif opcode is Opcode.LD:
-            self.latest_load_value[record.pc] = record.result
-            if record.dest_reg is not None:
-                self.regfile[record.dest_reg] = record.result
+    # ------------------------------------------------------------------
+    # Machine state just before dynamic instruction ``self._now``.
+    # ------------------------------------------------------------------
+    def _register(self, register: int) -> Value:
+        """The architectural value of *register* (0 before any write)."""
+        return self.flow.register_value(self._now, register)
 
-    def _check_instance(self, record) -> None:
+    def _latest_src_ops(self, pc: int) -> Optional[Tuple[Value, ...]]:
+        """Operands of the latest execution of compute *pc*, if any."""
+        if pc in self._latest_ops:
+            return self._latest_ops[pc]
+        ops = None
+        if self.tables.dests[pc] and self.tables.opcodes[pc].is_compute:
+            latest = last_before(self.flow.executions(pc), self._now)
+            if latest >= 0:
+                ops = tuple(
+                    immediate
+                    if register is None
+                    else self.flow.register_value(latest, register)
+                    for register, immediate in self.tables.operands[pc]
+                )
+        self._latest_ops[pc] = ops
+        return ops
+
+    def _latest_load_value(self, pc: int):
+        """Value of the latest execution of load *pc*, else ``_MISSING``."""
+        if self.tables.opcodes[pc] is not Opcode.LD:
+            return _MISSING
+        latest = last_before(self.flow.executions(pc), self._now)
+        return _MISSING if latest < 0 else self.tracker.result(latest)
+
+    def _check_instance(self, load_pc: int, index: int) -> None:
         if self.collect_only:
-            self._collect_instance(record)
+            self._collect_instance(load_pc)
             return
-        report = self.reports[record.pc]
-        if not report.valid:
-            return
+        report = self.reports[load_pc]
         report.instances_checked += 1
         try:
-            recomputed = self._evaluate(record.pc, self.candidates[record.pc])
+            recomputed = self._evaluate(load_pc, self.candidates[load_pc])
         except _MissingCheckpoint:
             report.missing_checkpoints += 1
             return
@@ -205,14 +232,14 @@ class _ReplayScanner:
             report.mismatches += 1
             report.valid = False
             return
-        if recomputed != record.result:
+        if recomputed != self.tracker.result(index):
             report.mismatches += 1
             report.valid = False
 
     # ------------------------------------------------------------------
     # Collect mode: flat per-node fact gathering (no recursion).
     # ------------------------------------------------------------------
-    def _collect_instance(self, record) -> None:
+    def _collect_instance(self, load_pc: int) -> None:
         """Gather liveness and shallow edge-consistency at one RCMP point.
 
         Shallow consistency of an edge parent->child asks: would cutting
@@ -223,9 +250,8 @@ class _ReplayScanner:
         their own latest operands — which is exactly what Hist supplies —
         so formation may grow through an edge iff this flag holds.
         """
-        load_pc = record.pc
         for node in self.candidates[load_pc].walk():
-            latest = self.latest_src_ops.get(node.pc)
+            latest = self._latest_src_ops(node.pc)
             if not node.is_checkpoint_load and latest is not None:
                 for leaf_input in node.leaf_inputs:
                     if leaf_input.reg_index is not None:
@@ -237,13 +263,13 @@ class _ReplayScanner:
             ):
                 key = (load_pc, node.pc, position)
                 if node.is_checkpoint_load:
-                    consumed = self.latest_load_value.get(node.pc)
+                    consumed = self._latest_load_value(node.pc)
                 else:
-                    consumed = latest[position] if latest is not None else None
-                if consumed is None:
+                    consumed = latest[position] if latest is not None else _MISSING
+                if consumed is _MISSING or consumed is None:
                     continue
                 if reg is not None:
-                    alive = self.regfile.get(reg, 0) == consumed
+                    alive = self._register(reg) == consumed
                     self.live_ok[key] = self.live_ok.get(key, True) and alive
                 shallow = self._shallow_value(child)
                 if shallow is _MISSING:
@@ -254,8 +280,8 @@ class _ReplayScanner:
     def _shallow_value(self, node: TemplateNode):
         """Re-execute *node* once from its own latest checkpointed operands."""
         if node.is_checkpoint_load:
-            return self.latest_load_value.get(node.pc, _MISSING)
-        latest = self.latest_src_ops.get(node.pc)
+            return self._latest_load_value(node.pc)
+        latest = self._latest_src_ops(node.pc)
         if latest is None:
             return _MISSING
         if node.opcode is Opcode.LI:
@@ -270,16 +296,17 @@ class _ReplayScanner:
     # ------------------------------------------------------------------
     def _evaluate(self, load_pc: int, node: TemplateNode) -> Value:
         if node.is_checkpoint_load:
-            if node.pc not in self.latest_load_value:
+            value = self._latest_load_value(node.pc)
+            if value is _MISSING:
                 raise _MissingCheckpoint(str(node.pc))
-            return self.latest_load_value[node.pc]
+            return value
         arity = len(node.leaf_inputs) + len(node.children)
         operands: List[Optional[Value]] = [None] * arity
         for leaf_input in node.leaf_inputs:
             if leaf_input.reg_index is None:
                 value = leaf_input.const_value
             else:
-                latest = self.latest_src_ops.get(node.pc)
+                latest = self._latest_src_ops(node.pc)
                 if latest is None:
                     raise _MissingCheckpoint(str(node.pc))
                 value = latest[leaf_input.position]
@@ -293,8 +320,7 @@ class _ReplayScanner:
 
     def _note_liveness(self, load_pc: int, node: TemplateNode, leaf_input, value) -> None:
         key = (load_pc, node.pc, leaf_input.position)
-        current = self.regfile.get(leaf_input.reg_index, 0)
-        alive = current == value
+        alive = self._register(leaf_input.reg_index) == value
         self.live_ok[key] = self.live_ok.get(key, True) and alive
 
     # ------------------------------------------------------------------

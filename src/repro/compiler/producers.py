@@ -3,9 +3,9 @@
 For each candidate load the compiler needs the tree of producer
 instructions that generated the loaded value — the raw material of
 RSlice formation (paper section 3.1.1: "dependency analysis to identify
-the producer instructions of v").  This module walks the
-:class:`~repro.trace.dependence.DependenceTracker` graph backwards from
-each dynamic load instance and produces a :class:`TemplateNode` tree:
+the producer instructions of v").  This module walks the profile's
+derived :class:`~repro.trace.dependence.Dataflow` backwards from each
+dynamic load instance and produces a :class:`TemplateNode` tree:
 
 * the load's producing store is located through the memory dependence;
 * the stored value's register dataflow is chased through compute
@@ -26,10 +26,10 @@ can *prove* the recomputation pattern.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..isa.opcodes import Opcode
-from ..trace.dependence import SRC_IMM, SRC_REG, DependenceTracker, DynRecord
+from ..trace.dependence import DependenceTracker
 from .rslice import LeafInput, TemplateNode
 
 #: Default extraction caps: the compiler "caps the tree height h to
@@ -59,7 +59,11 @@ class ExtractionFailure(Exception):
 
 
 class TemplateExtractor:
-    """Walks the dependence graph backwards to build producer templates."""
+    """Walks the dependence graph backwards to build producer templates.
+
+    Instances are dynamic instruction indices of the profile; operand
+    producers come from its :class:`~repro.trace.dependence.Dataflow`.
+    """
 
     def __init__(
         self,
@@ -72,6 +76,9 @@ class TemplateExtractor:
         self.max_height = max_height
         self.max_nodes = max_nodes
         self.max_samples = max_samples
+        self._pcs = tracker.pcs
+        self._tables = tracker.tables
+        self._flow = tracker.dataflow()
 
     # ------------------------------------------------------------------
     # Public API.
@@ -90,9 +97,9 @@ class TemplateExtractor:
             return None
         samples = self._sample(instances)
         trees: List[TemplateNode] = []
-        for record in samples:
+        for load in samples:
             try:
-                trees.append(self._template_for_instance(record))
+                trees.append(self._template_for_instance(load))
             except ExtractionFailure:
                 return None
         signature = trees[-1].structural_signature()
@@ -105,7 +112,7 @@ class TemplateExtractor:
             samples_checked=len(samples),
         )
 
-    def _sample(self, instances: List[DynRecord]) -> List[DynRecord]:
+    def _sample(self, instances: Sequence[int]) -> Sequence[int]:
         """Steady-state sampling: the last instance plus spread late ones.
 
         The template is anchored on the *last* dynamic instance and
@@ -128,7 +135,7 @@ class TemplateExtractor:
     # ------------------------------------------------------------------
     # Per-instance walking.
     # ------------------------------------------------------------------
-    def _template_for_instance(self, load_record: DynRecord) -> TemplateNode:
+    def _template_for_instance(self, load: int) -> TemplateNode:
         self._nodes_built = 0
         #: Static pcs on the current walk path.  Expansion never re-enters
         #: a pc already being expanded: loop-carried producer chains (the
@@ -136,102 +143,96 @@ class TemplateExtractor:
         #: unroll into templates that replay the *latest* iteration once
         #: per level — always invalid under Hist's latest-value semantics.
         self._path: set = set()
-        if load_record.mem_producer is None:
+        store = self._flow.mem_producer(load)
+        if store is None:
             raise ExtractionFailure("load reads unproduced (input) memory")
-        store = self.tracker.record(load_record.mem_producer)
         return self._node_for_value(store, depth=0)
 
-    def _node_for_value(self, store: DynRecord, depth: int) -> TemplateNode:
-        """Template producing the value that *store* wrote."""
-        descriptor = store.srcs[0]
-        if descriptor[0] == SRC_IMM:
-            return self._constant_node(store.pc, descriptor[1])
-        _, producer_index, _reg, value = descriptor
-        if producer_index is None:
+    def _node_for_value(self, store: int, depth: int) -> TemplateNode:
+        """Template producing the value that dynamic store *store* wrote."""
+        store_pc = self._pcs[store]
+        register, immediate = self._tables.operands[store_pc][0]
+        if register is None:
+            return self._constant_node(store_pc, immediate)
+        producer = self._flow.reg_producer(store, register)
+        if producer is None:
             # Initial register state: a value that was never produced by
             # a traced instruction.  Treat as a synthetic constant; the
             # replay validation will reject it if it ever varies.
-            return self._constant_node(store.pc, value)
-        producer = self.tracker.record(producer_index)
-        if producer.pc in self._path:
+            return self._constant_node(
+                store_pc, self._flow.register_value(store, register)
+            )
+        producer_pc = self._pcs[producer]
+        if producer_pc in self._path:
             # The stored value's chain loops back through an instruction
             # already being expanded (e.g. an accumulator spilled and
             # reloaded): expansion here would unroll the loop-carried
             # dependence, which Hist's latest-value semantics cannot
             # replay.
             raise ExtractionFailure(
-                f"stored value's producer at pc {producer.pc} is loop-carried"
+                f"stored value's producer at pc {producer_pc} is loop-carried"
             )
         return self._node_for_producer(producer, depth)
 
-    def _node_for_producer(self, record: DynRecord, depth: int) -> TemplateNode:
+    def _node_for_producer(self, index: int, depth: int) -> TemplateNode:
         self._count_node()
-        if record.opcode is Opcode.LD:
-            return self._load_node(record, depth)
-        if not record.opcode.is_compute:
+        pc = self._pcs[index]
+        opcode = self._tables.opcodes[pc]
+        if opcode is Opcode.LD:
+            return self._load_node(index, depth)
+        if not opcode.is_compute:
             raise ExtractionFailure(
-                f"producer at pc {record.pc} is not recomputable "
-                f"({record.opcode.value})"
+                f"producer at pc {pc} is not recomputable ({opcode.value})"
             )
-        node = TemplateNode(pc=record.pc, opcode=record.opcode)
+        node = TemplateNode(pc=pc, opcode=opcode)
         expandable = depth < self.max_height
-        self._path.add(record.pc)
+        self._path.add(pc)
         try:
-            for position, descriptor in enumerate(record.srcs):
-                if descriptor[0] == SRC_IMM:
+            for position, (register, immediate) in enumerate(
+                self._tables.operands[pc]
+            ):
+                if register is None:
                     node.leaf_inputs.append(
-                        LeafInput.immediate(position, descriptor[1])
+                        LeafInput.immediate(position, immediate)
                     )
                     continue
-                _, producer_index, reg_index, _value = descriptor
-                producer = (
-                    self.tracker.record(producer_index)
-                    if producer_index is not None
-                    else None
-                )
+                producer = self._flow.reg_producer(index, register)
                 if (
                     producer is None
                     or not expandable
-                    or producer.pc in self._path
+                    or self._pcs[producer] in self._path
                 ):
                     # No producer, height cap reached, or a loop-carried
                     # chain: the operand pins this position to leaf-input
                     # treatment.
-                    node.leaf_inputs.append(LeafInput.register(position, reg_index))
+                    node.leaf_inputs.append(LeafInput.register(position, register))
                     continue
                 child = self._node_for_producer(producer, depth + 1)
                 node.children.append(child)
                 node.child_positions.append(position)
-                node.child_regs.append(reg_index)
+                node.child_regs.append(register)
         finally:
-            self._path.discard(record.pc)
+            self._path.discard(pc)
         return node
 
-    def _load_node(self, record: DynRecord, depth: int) -> TemplateNode:
+    def _load_node(self, index: int, depth: int) -> TemplateNode:
         """A load along the chain: checkpoint-leaf, optionally expandable."""
+        pc = self._pcs[index]
+        dest = self._tables.dests[pc]
+        if not dest:
+            raise ExtractionFailure(f"load at pc {pc} writes r0; cannot checkpoint")
         node = TemplateNode(
-            pc=record.pc,
+            pc=pc,
             opcode=Opcode.MOV,
             is_checkpoint_load=True,
-            leaf_inputs=[LeafInput.register(0, record.dest_reg)]
-            if record.dest_reg is not None
-            else [],
+            leaf_inputs=[LeafInput.register(0, dest)],
         )
-        if record.dest_reg is None:
-            raise ExtractionFailure(
-                f"load at pc {record.pc} writes r0; cannot checkpoint"
-            )
-        if (
-            record.mem_producer is not None
-            and depth < self.max_height
-            and record.pc not in self._path
-        ):
-            self._path.add(record.pc)
+        store = self._flow.mem_producer(index)
+        if store is not None and depth < self.max_height and pc not in self._path:
+            self._path.add(pc)
             nodes_before = self._nodes_built
             try:
-                child = self._node_for_value(
-                    self.tracker.record(record.mem_producer), depth + 1
-                )
+                child = self._node_for_value(store, depth + 1)
             except ExtractionFailure:
                 # The chain below this load cannot be expanded (e.g. it
                 # is loop-carried); keep the load as a plain checkpoint
@@ -240,9 +241,9 @@ class TemplateExtractor:
             else:
                 node.children.append(child)
                 node.child_positions.append(0)
-                node.child_regs.append(record.dest_reg)
+                node.child_regs.append(dest)
             finally:
-                self._path.discard(record.pc)
+                self._path.discard(pc)
         return node
 
     def _constant_node(self, pc: int, value) -> TemplateNode:

@@ -119,7 +119,7 @@ class AmnesicCPU(CPU):
         self.hist.record(instruction.slice_id, instruction.leaf_id, values)
         self.stats.hist_writes += 1
         self.account.charge(GROUP_AMNESIC, self.model.rec_cost())
-        self._emit(instruction, operand_values=values)
+        self._emit(instruction)
         self.pc += 1
 
     def _execute_rcmp(self, instruction: Instruction) -> None:
@@ -373,4 +373,4 @@ class AmnesicCPU(CPU):
         self._charge_traversal(
             GROUP_NONMEM, self.model.slice_instruction_cost(instruction.category)
         )
-        self._emit(instruction, operand_values=tuple(operands), result=result)
+        self._emit(instruction, result=result)

@@ -11,8 +11,10 @@ Figures 3-5.  It runs the unmodified program once, as the profiling run
 on the reference CPU; that run is also the classic baseline, as the
 paper's Pin profiler observes the classic execution (section 3.1.1).
 Off its profile it builds the probabilistic binary (shared by
-Compiler/FLC/LLC/C-Oracle) and the all-valid binary (Oracle), and
-measures every requested policy against the baseline.
+Compiler/FLC/LLC/C-Oracle) and the all-valid binary (Oracle), which
+share one :class:`~repro.compiler.amnesic_pass.CompileInputs` (cost
+context, producer templates, liveness facts), and measures every
+requested policy against the baseline.
 :meth:`EvaluationSetup.compilation_for` is the one place that decides
 which binary a policy runs.
 """
@@ -27,6 +29,7 @@ from ..compiler.amnesic_pass import (
     SELECTION_ALL_VALID,
     SELECTION_PROBABILISTIC,
     CompilationResult,
+    CompileInputs,
     PassOptions,
     compile_amnesic,
 )
@@ -202,6 +205,11 @@ class EvaluationSetup:
     backend: Optional[str] = None
     probabilistic: Optional[CompilationResult] = None
     all_valid: Optional[CompilationResult] = None
+    #: The cost context, templates and liveness both binaries share,
+    #: computed by whichever compile runs first.
+    inputs: CompileInputs = dataclasses.field(
+        default_factory=CompileInputs, repr=False, compare=False
+    )
     #: The classic baseline: the profiling run itself, on the reference
     #: CPU (its stats, energy account and final state are exactly a
     #: plain classic run's).
@@ -231,7 +239,8 @@ class EvaluationSetup:
 
     def _compile(self, options: PassOptions) -> CompilationResult:
         return compile_amnesic(
-            self.program, self.model, profile=self.profile, options=options
+            self.program, self.model, profile=self.profile, options=options,
+            inputs=self.inputs,
         )
 
     def measure(self, policy: str) -> PolicyComparison:

@@ -22,7 +22,7 @@ import dataclasses
 from typing import Iterator, Optional, Tuple, Union
 
 from .opcodes import ARITY, Category, Opcode
-from .operands import HistRef, Imm, Operand, Reg, SReg
+from .operands import Imm, Operand, Reg, SReg
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,12 +82,6 @@ class Instruction:
         """Scratch registers read by this (recomputing) instruction."""
         for src in self.srcs:
             if isinstance(src, SReg):
-                yield src
-
-    def hist_uses(self) -> Iterator[HistRef]:
-        """History-table operands read by this (leaf) instruction."""
-        for src in self.srcs:
-            if isinstance(src, HistRef):
                 yield src
 
     # ------------------------------------------------------------------

@@ -314,7 +314,7 @@ class CPU:
                 f"(valid pcs are 0..{limit - 1})",
                 pc=self.pc,
             )
-        self._emit(instruction, operand_values=(target,))
+        self._emit(instruction)
         self.account.charge(GROUP_NONMEM, self.model.compute_cost(Category.JUMP))
         self.pc = target
 
@@ -340,7 +340,7 @@ class CPU:
             )
         self.write_register(instruction.dest, result)
         self.account.charge(GROUP_NONMEM, self.model.compute_cost(instruction.category))
-        self._emit(instruction, operand_values=values, result=result)
+        self._emit(instruction, result=result)
         self.pc += 1
 
     def _execute_load(self, instruction: Instruction) -> None:
@@ -362,9 +362,7 @@ class CPU:
         access = self.hierarchy.store(address)
         self.account.charge(GROUP_STORE, self.model.access_cost(access))
         self.stats.stores_performed += 1
-        self._emit(
-            instruction, operand_values=(value,), address=address, level=access.level
-        )
+        self._emit(instruction, address=address, level=access.level)
         self.pc += 1
 
     def _execute_branch(self, instruction: Instruction) -> None:
@@ -372,7 +370,7 @@ class CPU:
         b = self.resolve(instruction.srcs[1])
         taken = branch_taken(instruction.opcode, a, b)
         self.account.charge(GROUP_NONMEM, self.model.compute_cost(Category.BRANCH))
-        self._emit(instruction, operand_values=(a, b))
+        self._emit(instruction)
         if taken:
             self.stats.branches_taken += 1
             self.pc = self.program.pc_of(instruction.target)
@@ -392,26 +390,22 @@ class CPU:
     def _emit(
         self,
         instruction: Instruction,
-        operand_values=(),
         result=None,
         address=None,
         level=None,
     ) -> None:
         """Retire *instruction*: number it, sample, and record it.
 
-        The tracer's ``append`` receives the dynamic index, pc,
-        instruction, operand values read, result, effective address and
-        servicing level — everything the dependence trace keeps.
+        The tracer's ``append`` receives the pc, result, effective
+        address and servicing level — the dynamic facts the profile
+        keeps; operand values and producers are derived from them.
         """
-        index = self._dynamic_index
         self._dynamic_index += 1
         timeline = self._timeline
         if timeline is not None and self._dynamic_index >= timeline.next_capture:
             timeline.capture(self._dynamic_index)
         if self.tracer is not None:
-            self.tracer.append(
-                index, self.pc, instruction, operand_values, result, address, level
-            )
+            self.tracer.append(self.pc, result, address, level)
 
     @property
     def dynamic_count(self) -> int:

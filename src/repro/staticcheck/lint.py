@@ -37,7 +37,7 @@ from . import diagnostics as D
 from .diagnostics import LintReport, Severity
 from .faults import BROKEN_PASSES
 from .layering import check_layering, default_package_root
-from .regions import RegionAnalysis, analyze_regions, describe, write_region_artifact
+from .regions import RegionAnalysis, analyze_regions, describe
 from .rules import check_program, verify_compilation
 
 KIND_KERNEL = "kernel"
@@ -152,7 +152,6 @@ class LintSettings:
     cross_check: bool = False
     prove_rules: bool = False
     self_check: bool = False
-    regions_out: Optional[str] = None
 
 
 def _count_findings(report: LintReport) -> None:
@@ -170,7 +169,6 @@ def lint_program(
     program: Program,
     model: EnergyModel,
     options: PassOptions,
-    regions_out: Optional[str] = None,
 ) -> Tuple[ProgramResult, Optional[CompilationResult]]:
     """Compile *program* and run the full rule set over the artifact."""
     telemetry = get_telemetry()
@@ -185,8 +183,6 @@ def lint_program(
         report = verify_compilation(name, program, compilation, model)
         regions = analyze_regions(compilation.binary.program)
         report.add(D.REG400, describe(regions))
-        if regions_out is not None:
-            write_region_artifact(regions_out, regions)
         _count_findings(report)
         result = ProgramResult(
             name=name,
@@ -207,13 +203,7 @@ def _lint_kernels(run: LintRun, settings: LintSettings, progress: Progress) -> N
     model = paper_energy_model()
     for name in names:
         program = REGISTRY.get(name).instantiate(settings.scale)
-        result, _ = lint_program(
-            name,
-            program,
-            model,
-            PassOptions(),
-            regions_out=settings.regions_out,
-        )
+        result, _ = lint_program(name, program, model, PassOptions())
         result.kind = KIND_KERNEL
         get_telemetry().counter("lint.programs", kind=KIND_KERNEL).inc()
         run.results.append(result)
@@ -246,13 +236,7 @@ def _lint_corpus(run: LintRun, settings: LintSettings, progress: Progress) -> No
             if progress:
                 progress(f"corpus {name}: {_verdict(result.report)}")
             continue
-        result, compilation = lint_program(
-            name,
-            program,
-            model,
-            options,
-            regions_out=settings.regions_out,
-        )
+        result, compilation = lint_program(name, program, model, options)
         result.kind = KIND_CORPUS
         get_telemetry().counter("lint.programs", kind=KIND_CORPUS).inc()
         if settings.cross_check and compilation is not None:
@@ -269,8 +253,6 @@ def _lint_expected_fault(
     report = LintReport(program=name)
     regions = analyze_regions(program)
     report.add(D.REG400, describe(regions))
-    if settings.regions_out is not None:
-        write_region_artifact(settings.regions_out, regions)
     _count_findings(report)
     return ProgramResult(
         name=name, kind=KIND_CORPUS, report=report, regions=regions

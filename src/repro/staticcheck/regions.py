@@ -21,27 +21,17 @@ carries its fault surface:
   per-instruction fault checks.
 
 The backend re-derives the analysis from the binary it is about to
-run (:meth:`RegionReport.from_program`); ``repro lint --regions-out``
-also exports it as a schema-versioned JSON artifact for review and CI
-upload, which nothing reads back.
+run (:meth:`RegionReport.from_program`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
-import tempfile
 from typing import Dict, List, Optional
 
 from ..isa.opcodes import Opcode
 from ..isa.program import Program
 from .cfg import ControlFlowGraph, build_cfg
-
-#: Region artifact schema.  Bump on any shape change; consumers must
-#: reject versions they do not understand.
-REGION_SCHEMA = "repro.staticcheck.regions"
-REGION_SCHEMA_VERSION = 1
 
 #: Opcodes that can raise at runtime (memory faults, arithmetic traps).
 FAULTABLE_OPCODES = frozenset(
@@ -72,17 +62,6 @@ class Region:
     def length(self) -> int:
         return self.end - self.start
 
-    def to_json(self) -> dict:
-        return {
-            "start": self.start,
-            "end": self.end,
-            "length": self.length,
-            "kind": self.kind,
-            "in_slice": self.in_slice,
-            "slice_id": self.slice_id,
-            "memory_ops": self.memory_ops,
-            "faultable_ops": self.faultable_ops,
-        }
 
 
 @dataclasses.dataclass
@@ -125,15 +104,6 @@ class RegionAnalysis:
             "coverage": round(self.coverage, 4),
             "max_region_length": self.max_region_length,
             "kinds": kinds,
-        }
-
-    def to_json(self) -> dict:
-        return {
-            "schema": REGION_SCHEMA,
-            "schema_version": REGION_SCHEMA_VERSION,
-            "program": self.program,
-            "regions": [region.to_json() for region in self.regions],
-            "summary": self.summary(),
         }
 
 
@@ -243,21 +213,3 @@ def describe(analysis: RegionAnalysis) -> str:
         f"instruction(s) ({summary['coverage']:.0%}); longest run "
         f"{summary['max_region_length']}"
     )
-
-
-def write_region_artifact(directory: str, analysis: RegionAnalysis) -> str:
-    """Atomically write one program's region artifact; returns the path."""
-    os.makedirs(directory, exist_ok=True)
-    safe_name = analysis.program.replace("/", "_").replace("+", "_")
-    path = os.path.join(directory, f"{safe_name}.regions.json")
-    payload = json.dumps(analysis.to_json(), indent=2, sort_keys=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(payload + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path

@@ -828,12 +828,14 @@ def _check_deadstores(
     # Independent consumer re-derivation: walk the dynamic trace's
     # load->store memory dependences rather than trusting the analysis'
     # own consumer lists.
-    records = compilation.profile.dependence.records
+    tracker = compilation.profile.dependence
+    pcs = tracker.pcs
+    flow = tracker.dataflow()
     true_consumers: Dict[int, Set[int]] = {}
-    for record in records:
-        if record.is_load and record.mem_producer is not None:
-            store_pc = records[record.mem_producer].pc
-            true_consumers.setdefault(store_pc, set()).add(record.pc)
+    for index in flow.memory_ops:
+        producer = flow.mem_producers[index]
+        if producer >= 0:
+            true_consumers.setdefault(pcs[producer], set()).add(pcs[index])
     for site in analysis.sites:
         if not site.is_elidable(analysis.swapped_load_pcs):
             continue

@@ -1,6 +1,6 @@
 """Tracing and profiling: dependence graphs, PrLi profiles, value locality."""
 
-from .dependence import SRC_IMM, SRC_REG, DependenceTracker, DynRecord
+from .dependence import Dataflow, DependenceTracker, ProgramTables
 from .locality import DEFAULT_HISTORY_DEPTH, ValueLocalityTracker
 from .profile import LoadProfiler
 from .recorder import ProfileResult, profile_program
@@ -15,12 +15,11 @@ from .summary import (
 
 __all__ = [
     "DEFAULT_HISTORY_DEPTH",
+    "Dataflow",
     "DependenceTracker",
-    "DynRecord",
     "LoadProfiler",
     "ProfileResult",
-    "SRC_IMM",
-    "SRC_REG",
+    "ProgramTables",
     "COLD_BUCKET",
     "DISTANCE_BUCKETS",
     "ReuseProfile",

@@ -15,6 +15,7 @@ from collections import deque
 from typing import Dict, Iterable, List
 
 from .dependence import DependenceTracker
+from .profile import recorded_loads
 
 #: History depth of the locality detector (1 = "same as last time").
 DEFAULT_HISTORY_DEPTH = 4
@@ -33,11 +34,13 @@ class ValueLocalityTracker:
         self.history_depth = history_depth
         self._hits: Dict[int, int] = {}
         self._total: Dict[int, int] = {}
-        for pc, loads in tracker.loads_by_pc.items():
+        result = tracker.result
+        for pc in recorded_loads(tracker):
+            loads = tracker.loads_at(pc)
             history: deque = deque(maxlen=history_depth)
             hits = 0
-            for record in loads:
-                value = record.result
+            for index in loads:
+                value = result(index)
                 if value in history:
                     hits += 1
                 history.append(value)
@@ -61,11 +64,6 @@ class ValueLocalityTracker:
     def load_count(self, pc: int) -> int:
         """Dynamic instance count of the load at *pc*."""
         return self._total.get(pc, 0)
-
-    def localities(self, pcs: Iterable[int] | None = None) -> Dict[int, float]:
-        """Locality per static load (restricted to *pcs* when given)."""
-        selected = self.observed_loads() if pcs is None else list(pcs)
-        return {pc: self.locality(pc) for pc in selected}
 
     def weighted_histogram(self, pcs: Iterable[int], bins: int = 10) -> List[float]:
         """Histogram of locality over *pcs*, weighted by dynamic load count.

@@ -17,8 +17,17 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List
 
+from ..isa.opcodes import Opcode
 from ..machine.config import LEVELS, Level
-from .dependence import DependenceTracker
+from .dependence import LEVEL_OF, DependenceTracker
+
+
+def recorded_loads(tracker: DependenceTracker) -> List[int]:
+    """Every static load pc the recorded run executed, ascending."""
+    opcodes = tracker.tables.opcodes
+    return [
+        pc for pc in tracker.dataflow().by_pc if opcodes[pc] is Opcode.LD
+    ]
 
 
 class LoadProfiler:
@@ -27,8 +36,12 @@ class LoadProfiler:
     def __init__(self, tracker: DependenceTracker) -> None:
         self.per_load: Dict[int, Counter] = {}
         self.global_counts: Counter = Counter()
-        for pc, loads in tracker.loads_by_pc.items():
-            counts = self.per_load[pc] = Counter(record.level for record in loads)
+        levels = tracker.levels
+        for pc in recorded_loads(tracker):
+            codes = Counter(map(levels.__getitem__, tracker.loads_at(pc)))
+            counts = self.per_load[pc] = Counter(
+                {LEVEL_OF[code]: count for code, count in codes.items()}
+            )
             self.global_counts.update(counts)
 
     # ------------------------------------------------------------------

@@ -46,7 +46,7 @@ def profile_program(
     max_instructions: Optional[int] = None,
 ) -> ProfileResult:
     """Run *program* on the reference CPU, recording its dependence trace."""
-    dependence = DependenceTracker()
+    dependence = DependenceTracker(program)
     cpu = CPU(
         program,
         model,

@@ -127,19 +127,23 @@ def summarise_trace(
     tracker: DependenceTracker, line_words: int = 8, with_reuse: bool = True
 ) -> TraceSummary:
     """Summarise a dependence-tracked classic run."""
+    tables = tracker.tables
     mix_counts: Counter = Counter()
+    for pc, count in Counter(tracker.pcs).items():
+        mix_counts[tables.categories[pc].value] += count
     load_addresses: List[int] = []
     touched: set = set()
     stores = 0
-    for record in tracker.records:
-        mix_counts[record.opcode.category.value] += 1
-        if record.address is not None:
-            touched.add(record.address)
-            if record.opcode is Opcode.LD:
-                load_addresses.append(record.address)
-            elif record.opcode is Opcode.ST:
-                stores += 1
-    total = len(tracker.records)
+    pcs = tracker.pcs
+    addresses = tracker.addresses
+    for index in tracker.dataflow().memory_ops:
+        address = addresses[index]
+        touched.add(address)
+        if tables.opcodes[pcs[index]] is Opcode.LD:
+            load_addresses.append(address)
+        else:
+            stores += 1
+    total = len(tracker)
     mix = {
         name: count / total for name, count in mix_counts.items()
     } if total else {}

@@ -6,7 +6,7 @@ from repro.compiler.deadstore import (
     analysis_for_compilation,
 )
 from repro.energy import EPITable, EnergyModel
-from repro.isa import ProgramBuilder
+from repro.isa import Opcode, ProgramBuilder
 from repro.trace import DependenceTracker, profile_program
 from repro.machine import CPU
 
@@ -18,9 +18,16 @@ def make_model():
 
 
 def trace(program):
-    tracker = DependenceTracker()
+    tracker = DependenceTracker(program)
     CPU(program, make_model(), tracer=tracker).run()
     return tracker
+
+
+def executed_pcs(tracker, opcode):
+    return [
+        pc for pc in tracker.dataflow().by_pc
+        if tracker.tables.opcodes[pc] is opcode
+    ]
 
 
 def test_store_with_swapped_only_consumer_is_elidable():
@@ -32,8 +39,8 @@ def test_store_with_swapped_only_consumer_is_elidable():
         b.st(i, base)   # only consumer is the load below
         b.ld(v, base)
     tracker = trace(b.build())
-    store_pc = next(r.pc for r in tracker.records if r.is_store)
-    load_pc = next(r.pc for r in tracker.records if r.is_load)
+    (store_pc,) = executed_pcs(tracker, Opcode.ST)
+    (load_pc,) = executed_pcs(tracker, Opcode.LD)
 
     not_swapped = analyse_dead_stores(tracker, swapped_load_pcs=[])
     assert not not_swapped.elidable_sites
@@ -54,7 +61,7 @@ def test_store_with_unswapped_consumer_is_not_elidable():
         b.ld(v, base)   # swapped
         b.ld(w, base)   # NOT swapped: still needs the stored value
     tracker = trace(b.build())
-    load_pcs = sorted({r.pc for r in tracker.records if r.is_load})
+    load_pcs = executed_pcs(tracker, Opcode.LD)
     analysis = analyse_dead_stores(tracker, swapped_load_pcs=[load_pcs[0]])
     assert not analysis.elidable_sites
 
@@ -87,5 +94,7 @@ def test_compilation_wrapper_on_spill_kernel():
 
 
 def test_fraction_of_empty_trace_is_zero():
-    analysis = analyse_dead_stores(DependenceTracker(), swapped_load_pcs=[])
+    analysis = analyse_dead_stores(
+        DependenceTracker(ProgramBuilder().build()), swapped_load_pcs=[]
+    )
     assert analysis.elidable_fraction == 0.0

@@ -161,3 +161,41 @@ def test_operand_facts_edges_present():
     # Every consistent edge key refers to a load we asked about.
     load_pcs = set(full)
     assert all(key[0] in load_pcs for key in facts.edge_consistent)
+
+
+def test_a_jal_link_write_clobbers_a_live_leaf_register():
+    # The slice's leaf reads the link register, which a call overwrites
+    # between the leaf's execution and the load.  The replay must see
+    # the JAL's write: a LIVE_REG leaf would recompute from the return
+    # pc (27 instead of 15) and fail verification.
+    from repro.compiler import compile_amnesic
+    from repro.compiler.amnesic_pass import SELECTION_ALL_VALID, PassOptions
+    from repro.core.execution import run_amnesic
+
+    b = ProgramBuilder()
+    cell = b.reserve(1)
+    base, link, t, v = b.regs("base", "link", "t", "v")
+    b.li(base, cell)
+    with b.subroutine("noop", link):
+        pass
+    with b.loop("i", 0, 12):
+        b.li(link, 5)
+        b.mul(t, link, 3)
+        b.st(t, base)
+        b.call("noop", link)
+        b.ld(v, base)
+    model = make_model()
+    compilation = compile_amnesic(
+        b.build(), model, options=PassOptions(selection=SELECTION_ALL_VALID)
+    )
+    (rslice,) = compilation.rslices
+    leaf = next(
+        leaf_input
+        for node in rslice.root.walk()
+        for leaf_input in node.leaf_inputs
+        if leaf_input.reg_index == link.index
+    )
+    assert leaf.kind is LeafInputKind.HIST
+    outcome = run_amnesic(compilation, "Compiler", model, verify=True)
+    assert outcome.stats.recomputations_fired > 0
+    assert outcome.cpu.registers[v.index] == 15

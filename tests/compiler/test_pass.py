@@ -98,3 +98,20 @@ def test_checkpoint_source_conflict_resolution():
         for node in rslice.root.walk():
             if node.is_checkpoint_load:
                 assert node.pc not in swapped
+
+
+def test_compile_inputs_refuse_another_profile():
+    from repro.compiler.amnesic_pass import CompileInputs
+
+    model = make_model()
+    program = build_spill_kernel(iterations=6, chain=2, gap=4)
+    inputs = CompileInputs()
+    first = compile_amnesic(
+        program, model, profile=profile_program(program, model), inputs=inputs
+    )
+    assert first.rslices
+    with pytest.raises(ValueError):
+        compile_amnesic(
+            program, model, profile=profile_program(program, model),
+            inputs=inputs,
+        )

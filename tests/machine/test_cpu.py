@@ -161,10 +161,13 @@ def test_event_indices_are_dense():
         b.add(v, base, i)
         b.ld(v, v)
         b.add(acc, acc, v)
-    tracker = DependenceTracker()
-    cpu = run_program(b.build(), tracer=tracker)
+    program = b.build()
+    tracker = DependenceTracker(program)
+    cpu = run_program(program, tracer=tracker)
     assert len(tracker) == cpu.dynamic_count
-    assert [record.index for record in tracker.records] == list(range(len(tracker)))
+    columns = (tracker.pcs, tracker.kinds, tracker.results, tracker.addresses,
+               tracker.levels)
+    assert {len(column) for column in columns} == {len(tracker)}
 
 
 def test_dependence_tracker_attaches_cleanly():
@@ -173,11 +176,11 @@ def test_dependence_tracker_attaches_cleanly():
     base, v = b.regs("base", "v")
     b.li(base, arr)
     b.ld(v, base)
-    tracker = DependenceTracker()
-    run_program(b.build(), tracer=tracker)
-    loads = [record for record in tracker.records if record.is_load]
-    assert len(loads) == 1
-    assert loads[0].result == 5
+    program = b.build()
+    tracker = DependenceTracker(program)
+    run_program(program, tracer=tracker)
+    (load,) = tracker.loads_at(1)
+    assert tracker.result(load) == 5
 
 
 def test_writeback_energy_charged_on_finalize():

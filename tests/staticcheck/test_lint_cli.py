@@ -1,4 +1,4 @@
-"""The `repro lint` command: sweeps, cross-check, exit codes, artifacts."""
+"""The `repro lint` command: sweeps, cross-check and exit codes."""
 
 import json
 import os
@@ -35,6 +35,19 @@ def test_missing_corpus_dir_is_a_usage_error(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_cross_check_finds_the_corpus_from_any_directory(
+    tmp_path, monkeypatch, capsys
+):
+    # The corpus default is located from the package, not the CWD.
+    monkeypatch.chdir(tmp_path)
+    assert main(
+        ["lint", "--no-kernels", "--cross-check", "--prove-rules"]
+    ) == 0
+    out = capsys.readouterr().out
+    assert "corpus clobbered-leaf: ok" in out
+    assert "broken pass(es) proven" in out
+
+
 def test_json_output_parses(capsys):
     assert main(
         ["lint", "--benchmarks", "is", "--no-corpus", "--format", "json"]
@@ -46,23 +59,6 @@ def test_json_output_parses(capsys):
     assert names == ["is"]
     assert payload["programs"][0]["kind"] == "kernel"
     assert "layering" in payload
-
-
-def test_region_artifacts_are_written(tmp_path, capsys):
-    out_dir = tmp_path / "regions"
-    assert main(
-        [
-            "lint", "--benchmarks", "is", "--no-corpus",
-            "--regions-out", str(out_dir),
-        ]
-    ) == 0
-    capsys.readouterr()
-    # The analyzed artifact is the compiled binary, hence the suffix.
-    names = sorted(os.listdir(out_dir))
-    assert names == ["is_amnesic.regions.json"]
-    with open(out_dir / names[0]) as handle:
-        payload = json.load(handle)
-    assert payload["summary"]["batchable_regions"] > 0
 
 
 @pytest.fixture()

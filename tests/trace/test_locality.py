@@ -11,7 +11,7 @@ from ..conftest import tiny_config
 
 
 def run_with_tracker(program, depth=4):
-    tracker = DependenceTracker()
+    tracker = DependenceTracker(program)
     cpu = CPU(program, EnergyModel(epi=EPITable.default(), config=tiny_config()),
               tracer=tracker)
     cpu.run()
@@ -76,9 +76,11 @@ def test_weighted_histogram_bins():
 
 def test_invalid_depth_rejected():
     with pytest.raises(ValueError):
-        ValueLocalityTracker(DependenceTracker(), history_depth=0)
+        ValueLocalityTracker(
+            DependenceTracker(ProgramBuilder().build()), history_depth=0
+        )
 
 
 def test_empty_histogram():
-    tracker = ValueLocalityTracker(DependenceTracker())
+    tracker = ValueLocalityTracker(DependenceTracker(ProgramBuilder().build()))
     assert tracker.weighted_histogram([], bins=5) == [0.0] * 5

@@ -3,7 +3,7 @@
 from collections import Counter
 
 from repro.energy import EPITable, EnergyModel
-from repro.isa import ProgramBuilder
+from repro.isa import Opcode, ProgramBuilder
 from repro.machine import CPU, Level
 from repro.trace import DependenceTracker, LoadProfiler
 
@@ -11,7 +11,7 @@ from ..conftest import tiny_config
 
 
 def profile(program):
-    tracker = DependenceTracker()
+    tracker = DependenceTracker(program)
     cpu = CPU(program, EnergyModel(epi=EPITable.default(), config=tiny_config()),
               tracer=tracker)
     cpu.run()
@@ -74,17 +74,21 @@ def test_recorded_load_levels_match_the_profile():
         with b.loop("i", 0, 64) as i:
             b.add(addr, base, i)
             b.ld(v, addr)
-    tracker = DependenceTracker()
-    cpu = CPU(b.build(), EnergyModel(epi=EPITable.default(), config=tiny_config()),
+    program = b.build()
+    tracker = DependenceTracker(program)
+    cpu = CPU(program, EnergyModel(epi=EPITable.default(), config=tiny_config()),
               tracer=tracker)
     cpu.run()
     profiler = LoadProfiler(tracker)
-    loads = [record for record in tracker.records if record.is_load]
-    assert loads and all(record.level is not None for record in loads)
+    loads = [
+        index for index, pc in enumerate(tracker.pcs)
+        if program.instruction_at(pc).opcode is Opcode.LD
+    ]
+    assert loads and all(tracker.level(index) is not None for index in loads)
     for pc in profiler.observed_loads():
-        recorded = Counter(record.level for record in tracker.loads_at(pc))
+        recorded = Counter(tracker.level(index) for index in tracker.loads_at(pc))
         assert recorded == profiler.per_load[pc]
-    assert Counter(record.level for record in loads) == profiler.global_counts
+    assert Counter(tracker.level(index) for index in loads) == profiler.global_counts
     # The levels are the hierarchy's own load accounting, not a guess.
     assert profiler.global_counts == Counter(
         {level: n for level, n in cpu.hierarchy.stats.loads_by_level.items() if n}

@@ -85,11 +85,11 @@ def test_matches_reference_stack_distance():
 
 def test_summarise_trace_on_spill_kernel():
     program = build_spill_kernel(iterations=8, chain=3, gap=6)
-    tracker = DependenceTracker()
+    tracker = DependenceTracker(program)
     CPU(program, EnergyModel(epi=EPITable.default(), config=tiny_config()),
         tracer=tracker).run()
     summary = summarise_trace(tracker)
-    assert summary.dynamic_instructions == len(tracker.records)
+    assert summary.dynamic_instructions == len(tracker.pcs)
     assert summary.load_count > 0
     assert summary.store_count > 0
     assert summary.working_set_words > 0
@@ -100,7 +100,7 @@ def test_summarise_trace_on_spill_kernel():
 
 
 def test_summary_without_reuse():
-    tracker = DependenceTracker()
+    tracker = DependenceTracker(ProgramBuilder().build())
     summary = summarise_trace(tracker, with_reuse=False)
     assert summary.load_reuse is None
     assert summary.dynamic_instructions == 0
